@@ -22,7 +22,7 @@ main()
     const unsigned widths[] = {1u, 2u, 4u, 8u};
 
     // One matrix over [InO, SVR16/64 x widths], sharded across the
-    // experiment engine's thread pool. Config 0 is the baseline;
+    // experiment engine's threads. Config 0 is the baseline;
     // config 1 + 2*wi + ni is SVR{16,64} at widths[wi].
     std::vector<SimConfig> configs = {presets::inorder()};
     for (unsigned width : widths) {

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/error.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 
 namespace svr
@@ -25,25 +26,79 @@ badSpec(std::string_view spec, const char *why)
                     static_cast<int>(spec.size()), spec.data(), why);
 }
 
+double
+parseProbability(std::string_view item, std::string_view text)
+{
+    double p = 0.0;
+    if (!tryParseNumber(text, p) || p < 0.0 || p > 1.0)
+        badSpec(item, "probability must be 0..1");
+    return p;
+}
+
 } // namespace
+
+void
+FaultPlan::parseNetItem(std::string_view item)
+{
+    const std::size_t eq = item.find('=');
+    if (eq == std::string_view::npos)
+        badSpec(item, "want KIND@TARGET or KEY=VALUE");
+    const std::string_view key = item.substr(0, eq);
+    const std::string_view value = item.substr(eq + 1);
+    if (value.empty())
+        badSpec(item, "empty value");
+
+    if (key == "seed") {
+        if (!tryParseNumber(value, netPlan.seed))
+            badSpec(item, "seed must be an unsigned integer");
+    } else if (key == "drop") {
+        netPlan.dropP = parseProbability(item, value);
+    } else if (key == "corrupt") {
+        netPlan.corruptP = parseProbability(item, value);
+    } else if (key == "trunc") {
+        netPlan.truncP = parseProbability(item, value);
+    } else if (key == "delay") {
+        const std::size_t slash = value.find('/');
+        if (slash == std::string_view::npos)
+            badSpec(item, "want delay=P/MS");
+        netPlan.delayP = parseProbability(item, value.substr(0, slash));
+        if (!tryParseNumber(value.substr(slash + 1), netPlan.delayMs) ||
+            netPlan.delayMs < 0)
+            badSpec(item, "delay ms must be >= 0");
+    } else if (key == "part") {
+        for (const std::string &win_str : splitList(value, ',')) {
+            const std::string_view win = win_str;
+            const std::size_t plus = win.find('+');
+            if (plus == std::string_view::npos)
+                badSpec(item, "want part=START+DUR[,..]");
+            NetFaultPlan::Window w;
+            if (!tryParseNumber(win.substr(0, plus), w.startMs))
+                badSpec(item, "bad partition start");
+            if (!tryParseNumber(win.substr(plus + 1), w.durMs) ||
+                w.durMs == 0)
+                badSpec(item, "bad partition duration");
+            netPlan.partitions.push_back(w);
+        }
+    } else if (key == "after") {
+        if (!tryParseNumber(value, netPlan.skipFirst))
+            badSpec(item, "after must be an unsigned integer");
+    } else {
+        badSpec(item, "unknown network key (want seed, drop, corrupt, "
+                      "trunc, delay, part, after)");
+    }
+}
 
 FaultPlan
 FaultPlan::parse(std::string_view spec)
 {
     FaultPlan plan;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-        std::size_t end = spec.find(';', start);
-        if (end == std::string_view::npos)
-            end = spec.size();
-        const std::string_view item = spec.substr(start, end - start);
-        start = end + 1;
-        if (item.empty())
-            continue;
-
+    for (const std::string &item_str : splitList(spec, ';')) {
+        const std::string_view item = item_str;
         const std::size_t at = item.find('@');
-        if (at == std::string_view::npos)
-            badSpec(item, "missing '@'");
+        if (at == std::string_view::npos) {
+            plan.parseNetItem(item);
+            continue;
+        }
         const std::string_view kind = item.substr(0, at);
         std::string_view target = item.substr(at + 1);
 
@@ -89,21 +144,11 @@ FaultPlan::parse(std::string_view spec)
             const std::string_view m = target.substr(0, mod);
             if (m.empty())
                 badSpec(item, "empty modifier");
-            const std::string mstr(m);
-            char *endp = nullptr;
             if (m[0] == 'p') {
-                rule.probability = std::strtod(mstr.c_str() + 1, &endp);
-                if (*endp != '\0' || rule.probability < 0.0 ||
-                    rule.probability > 1.0) {
-                    badSpec(item, "probability must be p0..p1");
-                }
-            } else {
-                const unsigned long k =
-                    std::strtoul(mstr.c_str(), &endp, 10);
-                if (*endp != '\0' || k == 0)
-                    badSpec(item, "attempt bound must be a positive "
-                                  "integer");
-                rule.attempts = static_cast<unsigned>(k);
+                rule.probability = parseProbability(item, m.substr(1));
+            } else if (!tryParseNumber(m, rule.attempts) ||
+                       rule.attempts == 0) {
+                badSpec(item, "attempt bound must be a positive integer");
             }
         }
         if (rule.kind != Kind::Throw && rule.attempts != 0)
@@ -121,70 +166,54 @@ FaultPlan::fromEnv()
 }
 
 bool
-FaultPlan::matchCell(const Rule &r, std::string_view workload,
+FaultPlan::matchCell(Kind kind, std::string_view workload,
                      std::string_view config, unsigned attempt,
                      std::uint64_t base_seed) const
 {
-    if (!patternMatches(r.a, workload) || !patternMatches(r.b, config))
-        return false;
-    if (r.attempts != 0 && attempt > r.attempts)
-        return false;
-    if (r.probability >= 0.0) {
+    for (const Rule &r : rules) {
+        if (r.kind != kind || !patternMatches(r.a, workload) ||
+            !patternMatches(r.b, config) ||
+            (r.attempts != 0 && attempt > r.attempts)) {
+            continue;
+        }
+        if (r.probability < 0.0)
+            return true;
         // One deterministic draw per cell from a named substream of
         // the cell's RNG, so the decision is identical for any job
         // count and never perturbs the simulation stream itself.
         Rng rng = Rng::forCell(base_seed, workload, config).split("fault");
-        return rng.nextDouble() < r.probability;
+        if (rng.nextDouble() < r.probability)
+            return true;
     }
-    return true;
+    return false;
 }
 
 bool
 FaultPlan::shouldThrow(std::string_view workload, std::string_view config,
                        unsigned attempt, std::uint64_t base_seed) const
 {
-    for (const Rule &r : rules) {
-        if (r.kind == Kind::Throw &&
-            matchCell(r, workload, config, attempt, base_seed)) {
-            return true;
-        }
-    }
-    return false;
+    return matchCell(Kind::Throw, workload, config, attempt, base_seed);
 }
 
 bool
 FaultPlan::shouldHang(std::string_view workload,
                       std::string_view config) const
 {
-    for (const Rule &r : rules) {
-        if (r.kind == Kind::Hang && matchCell(r, workload, config, 1, 0))
-            return true;
-    }
-    return false;
+    return matchCell(Kind::Hang, workload, config, 1, 0);
 }
 
 bool
 FaultPlan::shouldKill(std::string_view workload,
                       std::string_view config) const
 {
-    for (const Rule &r : rules) {
-        if (r.kind == Kind::Kill && matchCell(r, workload, config, 1, 0))
-            return true;
-    }
-    return false;
+    return matchCell(Kind::Kill, workload, config, 1, 0);
 }
 
 bool
 FaultPlan::shouldCoordKill(std::string_view workload,
                            std::string_view config) const
 {
-    for (const Rule &r : rules) {
-        if (r.kind == Kind::CoordKill &&
-            matchCell(r, workload, config, 1, 0)) {
-            return true;
-        }
-    }
-    return false;
+    return matchCell(Kind::CoordKill, workload, config, 1, 0);
 }
 
 bool

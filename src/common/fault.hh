@@ -3,11 +3,14 @@
  * Deterministic fault injection. A FaultPlan — parsed from the
  * SVRSIM_FAULT environment variable or built directly in tests —
  * names simulation cells (or artifact paths) at which the engine must
- * fail, so every error-handling path (structured throws, watchdog
- * trips, IO failures, crash-safe resume) is exercised by real tests
- * rather than in theory.
+ * fail and the network faults the fabric's wire must survive, so
+ * every error-handling path (structured throws, watchdog trips, IO
+ * failures, crash-safe resume, lost or corrupted frames) is exercised
+ * by real tests rather than in theory. SVRSIM_FAULT is the only fault
+ * variable.
  *
- * Grammar (rules separated by ';'):
+ * Grammar (items separated by ';'). Cell and artifact rules are
+ * KIND@TARGET:
  *
  *   throw@WORKLOAD/CONFIG[:K][:pP]   throw SimError(InternalInvariant)
  *                                    in that cell; ':K' limits the
@@ -30,9 +33,39 @@
  *   io@SUBSTRING                     fail atomic artifact writes whose
  *                                    target path contains SUBSTRING
  *
- * WORKLOAD / CONFIG / SUBSTRING may be '*' (match anything). Example:
+ * WORKLOAD / CONFIG / SUBSTRING may be '*' (match anything).
+ *
+ * Network faults for the fabric's wire (common/wire.hh) are KEY=VALUE
+ * items; any of them arms the seeded injector in every process that
+ * opens a fabric connection:
+ *
+ *   seed=N          RNG seed for the schedule (default 1). Each
+ *                   connection draws from its own substream keyed by
+ *                   a process-wide connection counter, so the same
+ *                   plan over the same connection/frame sequence
+ *                   injects the same faults.
+ *   drop=P          silently discard an outgoing frame with
+ *                   probability P (the peer sees only silence and
+ *                   must time out)
+ *   corrupt=P       flip one payload/CRC bit after the checksum is
+ *                   computed (the receiver must reject the frame)
+ *   trunc=P         send a torn frame — header plus a payload prefix
+ *                   — then hard-close the socket
+ *   delay=P/MS      sleep MS milliseconds before sending, with
+ *                   probability P (straggler/jitter injection)
+ *   part=S+D[,S+D]  partition windows: for D ms starting S ms after
+ *                   the plan was armed in this process, every send
+ *                   fails with SimError(IoError) and closes the
+ *                   connection
+ *   after=N         exempt the first N frames of each connection from
+ *                   every fault kind, partitions included (lets a
+ *                   (re)connecting peer complete its handshake, so
+ *                   chaos runs converge instead of starving)
+ *
+ * Examples:
  *
  *   SVRSIM_FAULT='throw@BFS_UR/SVR16:2;io@results.json'
+ *   SVRSIM_FAULT='kill@HJ8/SVR16;seed=7;drop=0.05;part=200+300'
  */
 
 #ifndef SVR_COMMON_FAULT_HH
@@ -46,6 +79,35 @@
 namespace svr
 {
 
+/**
+ * The network half of a FaultPlan: the wire injector's schedule
+ * (see the KEY=VALUE items above).
+ */
+struct NetFaultPlan
+{
+    std::uint64_t seed = 1;
+    double dropP = 0.0;
+    double corruptP = 0.0;
+    double truncP = 0.0;
+    double delayP = 0.0;
+    int delayMs = 0;
+    unsigned skipFirst = 0;
+
+    struct Window
+    {
+        std::uint64_t startMs = 0;
+        std::uint64_t durMs = 0;
+    };
+    std::vector<Window> partitions;
+
+    bool
+    enabled() const
+    {
+        return dropP > 0.0 || corruptP > 0.0 || truncP > 0.0 ||
+               delayP > 0.0 || !partitions.empty();
+    }
+};
+
 /** A deterministic fault-injection plan (empty = no faults). */
 class FaultPlan
 {
@@ -58,7 +120,11 @@ class FaultPlan
     /** Plan from the SVRSIM_FAULT environment variable (empty if unset). */
     static FaultPlan fromEnv();
 
-    bool empty() const { return rules.empty(); }
+    /** No cell, artifact or network fault. */
+    bool empty() const { return rules.empty() && !netPlan.enabled(); }
+
+    /** The network-fault schedule (disabled when no net item given). */
+    const NetFaultPlan &net() const { return netPlan; }
 
     /**
      * Should attempt @p attempt (1-based) of this cell throw? @p
@@ -95,11 +161,16 @@ class FaultPlan
         double probability = -1.0; //!< throw/hang: <0 = always
     };
 
-    bool matchCell(const Rule &r, std::string_view workload,
+    /** Does any @p kind rule fire for this cell attempt? */
+    bool matchCell(Kind kind, std::string_view workload,
                    std::string_view config, unsigned attempt,
                    std::uint64_t base_seed) const;
 
+    /** Apply one KEY=VALUE network item to netPlan. */
+    void parseNetItem(std::string_view item);
+
     std::vector<Rule> rules;
+    NetFaultPlan netPlan;
 };
 
 } // namespace svr

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <netdb.h>
@@ -18,6 +17,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace svr
 {
@@ -139,17 +139,14 @@ installNetFaults(const NetFaultPlan &plan)
     }
 }
 
-/** Current injector, arming lazily from SVRSIM_NET_FAULT once. */
+/** Current injector, arming lazily from SVRSIM_FAULT's net items once. */
 std::shared_ptr<NetFaultState>
 currentNetFaults()
 {
     std::lock_guard<std::mutex> lock(g_faultMtx);
     if (!g_faultEnvChecked) {
         g_faultEnvChecked = true;
-        if (const char *env = std::getenv("SVRSIM_NET_FAULT")) {
-            if (*env != '\0')
-                installNetFaults(NetFaultPlan::parse(env));
-        }
+        installNetFaults(FaultPlan::fromEnv().net());
     }
     return g_faultState;
 }
@@ -169,24 +166,6 @@ double
 mixDouble(std::uint64_t &state)
 {
     return static_cast<double>(mix64(state) >> 11) * 0x1.0p-53;
-}
-
-[[noreturn]] void
-badNetFaultSpec(std::string_view item, const char *why)
-{
-    throw simErrorf(ErrCode::ConfigInvalid, {},
-                    "bad net-fault rule '%.*s': %s (see common/wire.hh)",
-                    static_cast<int>(item.size()), item.data(), why);
-}
-
-double
-parseProbability(std::string_view item, const std::string &value)
-{
-    char *end = nullptr;
-    const double p = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0)
-        badNetFaultSpec(item, "probability must be 0..1");
-    return p;
 }
 
 } // namespace
@@ -216,14 +195,11 @@ WireAddr::parse(const std::string &spec)
         }
         a.isUnix = false;
         a.host = rest.substr(0, colon);
-        char *end = nullptr;
-        const unsigned long port =
-            std::strtoul(rest.c_str() + colon + 1, &end, 10);
-        if (*end != '\0' || port > 65535) {
+        if (!tryParseNumber(std::string_view(rest).substr(colon + 1),
+                            a.port)) {
             throw simErrorf(ErrCode::ConfigInvalid, {},
                             "wire: bad port in '%s'", spec.c_str());
         }
-        a.port = static_cast<std::uint16_t>(port);
         return a;
     }
     throw simErrorf(ErrCode::ConfigInvalid, {},
@@ -257,94 +233,6 @@ wireCrc32(std::string_view payload)
         crc = table[crc & 0x0f] ^ (crc >> 4);
     }
     return crc ^ 0xffffffffu;
-}
-
-NetFaultPlan
-NetFaultPlan::parse(std::string_view spec)
-{
-    NetFaultPlan plan;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-        std::size_t end = spec.find(';', start);
-        if (end == std::string_view::npos)
-            end = spec.size();
-        const std::string_view item = spec.substr(start, end - start);
-        start = end + 1;
-        if (item.empty())
-            continue;
-
-        const std::size_t eq = item.find('=');
-        if (eq == std::string_view::npos)
-            badNetFaultSpec(item, "missing '='");
-        const std::string_view key = item.substr(0, eq);
-        const std::string value(item.substr(eq + 1));
-        if (value.empty())
-            badNetFaultSpec(item, "empty value");
-
-        char *endp = nullptr;
-        if (key == "seed") {
-            plan.seed = std::strtoull(value.c_str(), &endp, 10);
-            if (*endp != '\0')
-                badNetFaultSpec(item, "seed must be an integer");
-        } else if (key == "drop") {
-            plan.dropP = parseProbability(item, value);
-        } else if (key == "corrupt") {
-            plan.corruptP = parseProbability(item, value);
-        } else if (key == "trunc") {
-            plan.truncP = parseProbability(item, value);
-        } else if (key == "delay") {
-            const std::size_t slash = value.find('/');
-            if (slash == std::string::npos)
-                badNetFaultSpec(item, "want delay=P/MS");
-            plan.delayP =
-                parseProbability(item, value.substr(0, slash));
-            const std::string ms = value.substr(slash + 1);
-            plan.delayMs =
-                static_cast<int>(std::strtol(ms.c_str(), &endp, 10));
-            if (ms.empty() || *endp != '\0' || plan.delayMs < 0)
-                badNetFaultSpec(item, "delay ms must be >= 0");
-        } else if (key == "part") {
-            std::size_t p = 0;
-            const std::string list = value;
-            while (p <= list.size()) {
-                std::size_t comma = list.find(',', p);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                const std::string win = list.substr(p, comma - p);
-                p = comma + 1;
-                if (win.empty())
-                    continue;
-                const std::size_t plus = win.find('+');
-                if (plus == std::string::npos)
-                    badNetFaultSpec(item, "want part=START+DUR[,..]");
-                Window w;
-                w.startMs = std::strtoull(win.c_str(), &endp, 10);
-                if (endp != win.c_str() + plus)
-                    badNetFaultSpec(item, "bad partition start");
-                w.durMs =
-                    std::strtoull(win.c_str() + plus + 1, &endp, 10);
-                if (*endp != '\0' || w.durMs == 0)
-                    badNetFaultSpec(item, "bad partition duration");
-                plan.partitions.push_back(w);
-            }
-        } else if (key == "after") {
-            plan.skipFirst = static_cast<unsigned>(
-                std::strtoul(value.c_str(), &endp, 10));
-            if (*endp != '\0')
-                badNetFaultSpec(item, "after must be an integer");
-        } else {
-            badNetFaultSpec(item, "unknown key (want seed, drop, "
-                                  "corrupt, trunc, delay, part, after)");
-        }
-    }
-    return plan;
-}
-
-NetFaultPlan
-NetFaultPlan::fromEnv()
-{
-    const char *env = std::getenv("SVRSIM_NET_FAULT");
-    return env && *env ? parse(env) : NetFaultPlan();
 }
 
 void

@@ -22,13 +22,13 @@
  * reports as statuses. A frame larger than maxFramePayload is treated
  * as protocol corruption and throws.
  *
- * Chaos testing: the SVRSIM_NET_FAULT environment variable (or an
- * explicit armNetFaults() call) installs a deterministic, seeded
- * network fault injector that drops, delays, truncates, or bit-flips
- * outgoing frames and simulates timed partition windows — see
- * NetFaultPlan for the grammar. Every injected fault surfaces through
- * the normal error model above, so chaos runs exercise exactly the
- * recovery paths real faults would.
+ * Chaos testing: the network items of SVRSIM_FAULT (or an explicit
+ * armNetFaults() call) install a deterministic, seeded network fault
+ * injector that drops, delays, truncates, or bit-flips outgoing
+ * frames and simulates timed partition windows — see common/fault.hh
+ * for the grammar. Every injected fault surfaces through the normal
+ * error model above, so chaos runs exercise exactly the recovery
+ * paths real faults would.
  */
 
 #ifndef SVR_COMMON_WIRE_HH
@@ -39,6 +39,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/fault.hh"
 
 namespace svr
 {
@@ -62,67 +64,6 @@ struct WireAddr
 
     /** Canonical "unix:..." / "tcp:..." form (reparseable). */
     std::string str() const;
-};
-
-/**
- * A deterministic, seeded network fault schedule in the spirit of
- * SVRSIM_FAULT (common/fault.hh). Grammar — rules separated by ';':
- *
- *   seed=N          RNG seed for the schedule (default 1). Each
- *                   connection draws from its own substream keyed by
- *                   a process-wide connection counter, so the same
- *                   plan over the same connection/frame sequence
- *                   injects the same faults.
- *   drop=P          silently discard an outgoing frame with
- *                   probability P (the peer sees only silence and
- *                   must time out)
- *   corrupt=P       flip one payload/CRC bit after the checksum is
- *                   computed (the receiver must reject the frame)
- *   trunc=P         send a torn frame — header plus a payload prefix
- *                   — then hard-close the socket
- *   delay=P/MS      sleep MS milliseconds before sending, with
- *                   probability P (straggler/jitter injection)
- *   part=S+D[,S+D]  partition windows: for D ms starting S ms after
- *                   the plan was armed in this process, every send
- *                   fails with SimError(IoError) and closes the
- *                   connection
- *   after=N         exempt the first N frames of each connection from
- *                   every fault kind, partitions included (lets a
- *                   (re)connecting peer complete its handshake, so
- *                   chaos runs converge instead of starving)
- *
- * Example:
- *   SVRSIM_NET_FAULT='seed=7;drop=0.05;corrupt=0.02;part=200+300'
- */
-struct NetFaultPlan
-{
-    std::uint64_t seed = 1;
-    double dropP = 0.0;
-    double corruptP = 0.0;
-    double truncP = 0.0;
-    double delayP = 0.0;
-    int delayMs = 0;
-    unsigned skipFirst = 0;
-
-    struct Window
-    {
-        std::uint64_t startMs = 0;
-        std::uint64_t durMs = 0;
-    };
-    std::vector<Window> partitions;
-
-    bool
-    enabled() const
-    {
-        return dropP > 0.0 || corruptP > 0.0 || truncP > 0.0 ||
-               delayP > 0.0 || !partitions.empty();
-    }
-
-    /** Parse the grammar above; throws SimError(ConfigInvalid). */
-    static NetFaultPlan parse(std::string_view spec);
-
-    /** Plan from SVRSIM_NET_FAULT (disabled plan if unset). */
-    static NetFaultPlan fromEnv();
 };
 
 /** Running totals of injected faults (process-wide, for tests). */

@@ -4,6 +4,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace svr
 {
@@ -160,19 +161,16 @@ byName(const std::string &name)
     if (name == "ooo")
         return outOfOrder();
     if (name.rfind("svr", 0) == 0) {
-        const std::string digits = name.substr(3);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
+        unsigned n = 0;
+        if (!tryParseNumber(std::string_view(name).substr(3), n)) {
             fatal("bad config '%s': svr needs a numeric vector length "
                   "(e.g. svr16)",
                   name.c_str());
         }
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(digits.c_str(), &end, 10);
         if (n == 0 || n > 65536)
             fatal("bad config '%s': vector length must be in [1, 65536]",
                   name.c_str());
-        return svrCore(static_cast<unsigned>(n));
+        return svrCore(n);
     }
     fatal("unknown config '%s' (want ino, imp, ooo, or svrN)",
           name.c_str());

@@ -3,13 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
+#include "common/parallel.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
+#include "sim/ledger.hh"
 
 namespace svr
 {
@@ -35,6 +34,10 @@ runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
                 opts.faultPlan.shouldHang(spec.name, config.label)
                     ? simulateInjectedHang(config, w)
                     : simulate(config, w);
+            // The cell identity is the spec name, not whatever the
+            // workload instance called itself.
+            res.workload = spec.name;
+            res.config = config.label;
             res.attempts = attempt;
             return res;
         } catch (const SimError &e) {
@@ -44,14 +47,7 @@ runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
                 SimError::withCell(e, spec.name, config.label);
             if (!opts.keepGoing)
                 throw err;
-            SimResult res;
-            res.workload = spec.name;
-            res.config = config.label;
-            res.failed = true;
-            res.errCode = errCodeName(err.code());
-            res.errMessage = err.what();
-            res.attempts = attempt;
-            return res;
+            return failureRecord(spec.name, config.label, err, attempt);
         }
     }
 }
@@ -63,97 +59,40 @@ runMatrix(const std::vector<WorkloadSpec> &workloads,
 {
     using Clock = std::chrono::steady_clock;
 
-    const std::size_t num_workloads = workloads.size();
+    CellLedger ledger(workloads, configs, opts.restored, opts.journal,
+                      opts.faultPlan, opts.baseSeed,
+                      CellLedger::Engine::Local);
     const std::size_t num_configs = configs.size();
-    const std::size_t num_cells = num_workloads * num_configs;
+    std::vector<std::atomic<std::size_t>> cells_left(workloads.size());
+    for (auto &left : cells_left)
+        left.store(num_configs, std::memory_order_relaxed);
 
-    // Preallocate every result slot up front: each cell writes only
-    // matrix[wi].results[ci], so workers never touch shared state and
-    // the output order is fixed regardless of scheduling.
-    std::vector<MatrixRow> matrix(num_workloads);
-    std::vector<std::atomic<std::size_t>> cells_left(num_workloads);
-    for (std::size_t wi = 0; wi < num_workloads; wi++) {
-        matrix[wi].workload = workloads[wi].name;
-        matrix[wi].results.resize(num_configs);
-        matrix[wi].timings.resize(num_configs);
-        cells_left[wi].store(num_configs, std::memory_order_relaxed);
-    }
-
-    ThreadPool pool(opts.jobs);
-    std::mutex done_mutex; // serializes the onCellDone journal hook
-    std::atomic<std::size_t> restored_cells{0};
+    const unsigned jobs = resolveJobs(opts.jobs);
     const auto t_start = Clock::now();
-    pool.parallelFor(num_cells, [&](std::size_t idx) {
+    parallelFor(ledger.numCells(), jobs, [&](std::size_t idx) {
         const std::size_t wi = idx / num_configs;
-        const std::size_t ci = idx % num_configs;
-        const WorkloadSpec &spec = workloads[wi];
-        const SimConfig &config = configs[ci];
-
-        // Every cell gets its own seed-derived stream, keyed by name
-        // rather than index, so the stream survives matrix reshapes.
-        const std::uint64_t stream =
-            Rng::cellSeed(opts.baseSeed, spec.name, config.label);
-
-        const auto c_start = Clock::now();
-        SimResult res;
-        const bool restored =
-            opts.restoreCell &&
-            opts.restoreCell(spec.name, config.label, res);
-        if (!restored) {
-            res = runIsolatedCell(spec, config, opts);
-            // The cell identity is the spec name, not whatever the
-            // workload instance called itself — journal keys and the
-            // restoreCell() lookup must agree on it.
-            res.workload = spec.name;
-            res.config = config.label;
-        } else {
-            restored_cells.fetch_add(1, std::memory_order_relaxed);
+        if (!ledger.done(idx)) {
+            const auto c_start = Clock::now();
+            SimResult res =
+                runIsolatedCell(workloads[wi], configs[idx % num_configs],
+                                opts);
+            const std::chrono::duration<double, std::milli> c_elapsed =
+                Clock::now() - c_start;
+            ledger.record(idx, std::move(res), c_elapsed.count());
         }
-        matrix[wi].results[ci] = std::move(res);
-        const std::chrono::duration<double, std::milli> c_elapsed =
-            Clock::now() - c_start;
-        matrix[wi].timings[ci] = {c_elapsed.count(), stream};
-
-        if (!restored && opts.onCellDone) {
-            std::lock_guard<std::mutex> lock(done_mutex);
-            opts.onCellDone(matrix[wi].results[ci]);
-        }
-
         if (cells_left[wi].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
             opts.progress) {
-            inform("done: %-12s (%zu configs)", spec.name.c_str(),
+            inform("done: %-12s (%zu configs)", workloads[wi].name.c_str(),
                    num_configs);
         }
     });
     const std::chrono::duration<double> elapsed = Clock::now() - t_start;
 
-    MatrixTiming t;
-    t.wallSeconds = elapsed.count();
-    t.cells = num_cells;
-    t.jobs = pool.concurrency();
-    t.restoredCells = restored_cells.load(std::memory_order_relaxed);
-    for (const auto &row : matrix) {
-        for (const auto &res : row.results) {
-            t.instructions += res.core.instructions;
-            if (res.failed)
-                t.failedCells++;
-        }
-    }
-    if (opts.summary) {
-        inform("matrix: %zu cells in %.2fs (%.2f cells/sec, "
-               "%.2f Msimips, %u jobs)",
-               t.cells, t.wallSeconds, t.cellsPerSec(), t.msimips(),
-               t.jobs);
-        if (t.failedCells > 0)
-            warn("matrix: %zu cell(s) failed (see failure records)",
-                 t.failedCells);
-        if (t.restoredCells > 0)
-            inform("matrix: %zu cell(s) restored from journal",
-                   t.restoredCells);
-    }
+    const MatrixTiming t =
+        ledger.summarize(elapsed.count(), jobs, opts.summary);
     if (timing)
         *timing = t;
-    return matrix;
+    return ledger.takeRows();
 }
 
 std::vector<MatrixRow>

@@ -1,27 +1,28 @@
 /**
  * @file
  * Experiment helpers shared by the bench harnesses: run a matrix of
- * (workload x config) — in parallel across a work-stealing thread
- * pool — aggregate, and print paper-style tables.
+ * (workload x config) — in parallel via parallelFor() — aggregate,
+ * and print paper-style tables.
  *
  * Determinism contract: runMatrix() output (results, their order, and
  * every per-cell metric) is bit-identical for any job count. Each
  * cell is an independent simulation with its own seed-derived RNG
  * stream (Rng::cellSeed(base, workload, config)), and results are
- * written into preallocated slots keyed by (workload, config) index,
- * so scheduling never reorders or perturbs anything. Only the
- * progress lines on stderr and the wall-clock timings may vary.
+ * recorded into preallocated slots keyed by (workload, config) index
+ * (the cell ledger, sim/ledger.hh), so scheduling never reorders or
+ * perturbs anything. Only the progress lines on stderr and the
+ * wall-clock timings may vary.
  */
 
 #ifndef SVR_SIM_EXPERIMENT_HH
 #define SVR_SIM_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
+#include "sim/journal.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -71,22 +72,17 @@ struct MatrixOptions
     FaultPlan faultPlan;
 
     /**
-     * Resume hook: return true and fill @p out to skip simulating a
-     * cell (its result was journaled by an earlier run). Called from
-     * worker threads; must be thread-safe (a read-only map is).
+     * Cells an earlier run already completed (a resumed journal,
+     * merged shards): restored into their slots, never simulated.
      */
-    std::function<bool(const std::string &workload,
-                       const std::string &config, SimResult &out)>
-        restoreCell;
+    JournalCells restored;
 
     /**
-     * Completion hook for crash-safe journaling: called once per
-     * freshly simulated (not restored) cell, serialized under an
-     * engine-internal mutex. Call order depends on scheduling — only
-     * the set of calls is deterministic, so consumers must not
-     * derive ordered output from it.
+     * Journal each newly simulated cell is appended to (then the
+     * SVRSIM_FAULT kill@ hook runs); null = no journal. Records
+     * follow completion order: only their set is deterministic.
      */
-    std::function<void(const SimResult &result)> onCellDone;
+    SweepJournal *journal = nullptr;
 };
 
 /** Host-side wall-clock summary of one runMatrix() call. */
@@ -126,7 +122,8 @@ struct MatrixTiming
  * legacy panic()/fatal() sites captured as SimErrors, injected faults
  * applied, up to opts.maxAttempts tries. On final failure either
  * rethrows (fail-fast) or returns a deterministic failure record
- * (opts.keepGoing). This is the exact per-cell path runMatrix() uses;
+ * (opts.keepGoing). The result carries the cell identity (spec.name,
+ * config.label). This is the exact per-cell path runMatrix() uses;
  * the distributed fabric workers (sim/fabric.hh) call it directly so
  * a cell computes the same bytes no matter which process runs it.
  */
@@ -135,7 +132,7 @@ SimResult runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
 
 /**
  * Simulate every workload under every config, sharding the cells
- * across the thread pool. Results are ordered workload-major exactly
+ * across opts.jobs threads. Results are ordered workload-major exactly
  * like the historical serial loop. If @p timing is non-null it
  * receives the aggregate wall-clock summary.
  */

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -16,11 +17,15 @@
 
 #include "common/error.hh"
 #include "common/fault.hh"
+#include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "common/wire.hh"
 #include "sim/config.hh"
+#include "sim/ledger.hh"
+#include "sim/report.hh"
 #include "workloads/suites.hh"
 
 namespace svr
@@ -31,44 +36,9 @@ namespace
 
 using RecvStatus = WireConn::RecvStatus;
 
-/** Token reader over one wire message (mirrors the journal Reader). */
-struct Tok
-{
-    std::istringstream is;
-    bool ok = true;
-
-    explicit Tok(const std::string &text) : is(text) {}
-
-    std::string
-    raw()
-    {
-        std::string t;
-        if (!(is >> t))
-            ok = false;
-        return t;
-    }
-
-    std::string str() { return journalUnescape(raw()); }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        if (!(is >> v))
-            ok = false;
-        return v;
-    }
-
-    /** Everything after the current position (leading space trimmed). */
-    std::string
-    rest()
-    {
-        std::string r;
-        std::getline(is, r);
-        const std::size_t pos = r.find_first_not_of(' ');
-        return pos == std::string::npos ? std::string{} : r.substr(pos);
-    }
-};
+/** Worker-side patience: connecting, and waiting for any reply [ms]. */
+constexpr int workerConnectTimeoutMs = 15000;
+constexpr int workerReplyTimeoutMs = 30000;
 
 } // namespace
 
@@ -76,9 +46,9 @@ std::string
 SweepSpec::encode() const
 {
     std::ostringstream os;
-    os << journalEscape(key.suite) << ' ' << journalEscape(key.configs)
+    os << escapeField(key.suite) << ' ' << escapeField(key.configs)
        << ' ' << key.window << ' ' << key.seed << ' '
-       << journalEscape(key.sampling) << ' ' << (keepGoing ? 1 : 0) << ' '
+       << escapeField(key.sampling) << ' ' << (keepGoing ? 1 : 0) << ' '
        << retries;
     return os.str();
 }
@@ -86,7 +56,7 @@ SweepSpec::encode() const
 bool
 SweepSpec::decode(const std::string &text, SweepSpec &out)
 {
-    Tok t(text);
+    TokenReader t(text);
     SweepSpec s;
     s.key.suite = t.str();
     s.key.configs = t.str();
@@ -101,6 +71,17 @@ SweepSpec::decode(const std::string &text, SweepSpec &out)
     }
     out = std::move(s);
     return true;
+}
+
+void
+SweepSpec::setSampling(const SamplingParams &sampling)
+{
+    key.sampling.clear();
+    if (sampling.enabled()) {
+        key.sampling = std::to_string(sampling.sampleEvery) + "/" +
+                       std::to_string(sampling.sampleWindow) + "/" +
+                       std::to_string(sampling.warmup);
+    }
 }
 
 void
@@ -128,22 +109,11 @@ SweepSpec::materialize(std::vector<WorkloadSpec> &workloads,
     workloads = suiteByName(key.suite);
 
     configs.clear();
-    std::size_t start = 0;
-    const std::string &list = key.configs;
-    while (start <= list.size()) {
-        const std::size_t end = list.find(',', start);
-        const std::string name =
-            list.substr(start, end == std::string::npos ? std::string::npos
-                                                        : end - start);
-        if (!name.empty()) {
-            SimConfig c = presets::byName(name);
-            c.maxInstructions = key.window;
-            c.sampling = sampling;
-            configs.push_back(std::move(c));
-        }
-        if (end == std::string::npos)
-            break;
-        start = end + 1;
+    for (const std::string &name : splitList(key.configs, ',')) {
+        SimConfig c = presets::byName(name);
+        c.maxInstructions = key.window;
+        c.sampling = sampling;
+        configs.push_back(std::move(c));
     }
     if (workloads.empty() || configs.empty()) {
         throw simErrorf(ErrCode::ConfigInvalid, {},
@@ -317,48 +287,36 @@ namespace
 struct Coord
 {
     const FabricOptions &opts;
-    const std::vector<WorkloadSpec> &workloads;
-    const std::vector<SimConfig> &configs;
     const SweepSpec &spec;
     std::string specEnc;
-    SweepJournal *journal;
-    FaultPlan faults;       //!< coordinator-side (ckill@) injection
     std::int64_t hedgeMs;   //!< overdue threshold; < 0 = disabled
     std::chrono::steady_clock::time_point t0;
 
     std::mutex mtx;
+    CellLedger &ledger;
     LeaseQueue leases;
-    std::vector<SimResult> results; //!< workload-major, num_cells slots
-    std::vector<char> have;
     bool abort = false;
     std::unique_ptr<SimError> fatal;
     unsigned workerIds = 0;
     unsigned workersSeen = 0;
     std::atomic<unsigned> activeHandlers{0};
 
-    Coord(const FabricOptions &o, const std::vector<WorkloadSpec> &w,
-          const std::vector<SimConfig> &c, const SweepSpec &s,
-          SweepJournal *j, unsigned chunk,
-          const std::vector<std::size_t> &already_done)
-        : opts(o), workloads(w), configs(c), spec(s), journal(j),
-          faults(FaultPlan::fromEnv()),
+    Coord(const FabricOptions &o, const SweepSpec &s, CellLedger &l,
+          unsigned chunk)
+        : opts(o), spec(s), specEnc(s.encode()),
           hedgeMs(o.hedgeMs < 0
                       ? -1
                       : (o.hedgeMs > 0 ? o.hedgeMs
                                        : o.leaseTimeoutMs / 2)),
-          t0(std::chrono::steady_clock::now()),
+          t0(std::chrono::steady_clock::now()), ledger(l),
           // Lease ids carry a pid-derived epoch, so a restarted
           // coordinator can never re-grant an id a previous
           // incarnation handed out (lease fencing across restarts).
-          leases(w.size() * c.size(), chunk, o.maxCellAttempts,
-                 already_done,
-                 static_cast<std::uint64_t>(::getpid()) << 32),
-          results(w.size() * c.size()), have(w.size() * c.size(), 0)
+          leases(l.numCells(), chunk, o.maxCellAttempts,
+                 l.doneIndices(),
+                 static_cast<std::uint64_t>(::getpid()) << 32)
     {
-        specEnc = s.encode();
     }
-
-    std::size_t numCells() const { return results.size(); }
 
     /** Milliseconds since this coordinator started (lease clock). */
     std::uint64_t
@@ -370,15 +328,6 @@ struct Coord
                 .count());
     }
 
-    const std::string &cellWorkload(std::size_t idx) const
-    {
-        return workloads[idx / configs.size()].name;
-    }
-    const std::string &cellConfig(std::size_t idx) const
-    {
-        return configs[idx % configs.size()].label;
-    }
-
     /** Record a fatal sweep error once; first one wins. (mtx held) */
     void
     setFatal(const SimError &e)
@@ -388,55 +337,46 @@ struct Coord
         abort = true;
     }
 
-    /** Store one completed cell. False = duplicate/stale. (mtx held) */
-    bool
-    storeResult(std::size_t idx, SimResult &&r)
+    /** Record one completed cell in the ledger. (mtx held) */
+    void
+    store(std::size_t idx, SimResult r)
     {
-        if (idx >= numCells() || have[idx])
-            return false;
-        // The cell identity must match the matrix position — a
-        // mismatch means a confused or mismatched worker.
-        if (r.workload != cellWorkload(idx) ||
-            r.config != cellConfig(idx)) {
-            warn("fabric: dropping result for cell %zu with wrong "
-                 "identity %s/%s",
-                 idx, r.workload.c_str(), r.config.c_str());
-            return false;
+        try {
+            if (ledger.record(idx, std::move(r)))
+                leases.complete(idx);
+        } catch (const SimError &e) {
+            setFatal(e); // the journal append failed
         }
-        results[idx] = std::move(r);
-        have[idx] = 1;
-        leases.complete(idx);
-        if (journal) {
-            try {
-                journal->append(results[idx]);
-            } catch (const SimError &e) {
-                setFatal(e);
-            }
+    }
+
+    /** A worker left holding @p lease: requeue or poison its cells. */
+    void
+    reclaim(std::uint64_t lease, unsigned worker_id, const char *why)
+    {
+        std::vector<std::size_t> poisoned;
+        std::lock_guard<std::mutex> lock(mtx);
+        const std::size_t requeued = leases.reclaim(lease, poisoned);
+        if (opts.progress && (requeued > 0 || !poisoned.empty())) {
+            inform("fabric: worker %u lost (%s); reassigning %zu "
+                   "cell(s)%s",
+                   worker_id, why, requeued,
+                   poisoned.empty() ? "" : ", poisoning the rest");
         }
-        if (faults.shouldCoordKill(cellWorkload(idx), cellConfig(idx))) {
-            // Crash-recovery hook: die like an external SIGKILL right
-            // after this cell's record hit the journal. A restarted
-            // coordinator must resume from the journal and finish the
-            // sweep byte-identically.
-            warn("fabric: injected coordinator kill after cell %s/%s",
-                 cellWorkload(idx).c_str(), cellConfig(idx).c_str());
-            std::raise(SIGKILL);
-        }
-        return true;
+        poisonCells(poisoned);
     }
 
     /**
-     * Cells whose workers died maxCellAttempts times: synthesize the
-     * deterministic WorkerLost failure record (keep-going) or abort
-     * the sweep with it (fail-fast). (mtx held)
+     * Cells whose workers died maxCellAttempts times: record the
+     * deterministic WorkerLost failure (keep-going) or abort the
+     * sweep with it (fail-fast). (mtx held)
      */
     void
     poisonCells(const std::vector<std::size_t> &poisoned)
     {
         for (std::size_t idx : poisoned) {
             ErrContext ctx;
-            ctx.workload = cellWorkload(idx);
-            ctx.config = cellConfig(idx);
+            ctx.workload = ledger.workload(idx);
+            ctx.config = ledger.config(idx);
             const SimError err = simErrorf(
                 ErrCode::WorkerLost, ctx,
                 "lease abandoned after %u lost workers",
@@ -445,14 +385,8 @@ struct Coord
                 setFatal(err);
                 return;
             }
-            SimResult res;
-            res.workload = cellWorkload(idx);
-            res.config = cellConfig(idx);
-            res.failed = true;
-            res.errCode = errCodeName(err.code());
-            res.errMessage = err.what();
-            res.attempts = opts.maxCellAttempts;
-            storeResult(idx, std::move(res));
+            store(idx, failureRecord(ctx.workload, ctx.config, err,
+                                     opts.maxCellAttempts));
         }
     }
 };
@@ -475,7 +409,7 @@ serveWorker(Coord &C, WireConn conn)
     try {
         if (conn.recv(msg, 15000) != RecvStatus::Ok)
             return;
-        Tok hello(msg);
+        TokenReader hello(msg);
         if (hello.raw() != "HELLO")
             return;
         const std::uint64_t proto = hello.u64();
@@ -522,7 +456,7 @@ serveWorker(Coord &C, WireConn conn)
                 loss = currentLease != 0 ? "connection closed" : nullptr;
                 break;
             }
-            Tok t(msg);
+            TokenReader t(msg);
             const std::string verb = t.raw();
             if (verb == "LEASE?") {
                 std::lock_guard<std::mutex> lock(C.mtx);
@@ -577,8 +511,8 @@ serveWorker(Coord &C, WireConn conn)
                              static_cast<unsigned long long>(lease),
                              static_cast<unsigned long long>(idx));
                     } else if (t.ok && parseJournalLine(line, r)) {
-                        C.storeResult(static_cast<std::size_t>(idx),
-                                      std::move(r));
+                        C.store(static_cast<std::size_t>(idx),
+                                std::move(r));
                     } else {
                         warn("fabric: worker %u sent a malformed "
                              "result record",
@@ -626,44 +560,21 @@ serveWorker(Coord &C, WireConn conn)
             }
         }
 
-        if (currentLease != 0) {
-            std::vector<std::size_t> poisoned;
-            std::lock_guard<std::mutex> lock(C.mtx);
-            const std::size_t requeued =
-                C.leases.reclaim(currentLease, poisoned);
-            if (C.opts.progress && (requeued > 0 || !poisoned.empty())) {
-                inform("fabric: worker %u lost (%s); reassigning %zu "
-                       "cell(s)%s",
-                       workerId, loss ? loss : "unknown", requeued,
-                       poisoned.empty() ? "" : ", poisoning the rest");
-            }
-            C.poisonCells(poisoned);
-        } else if (loss && C.opts.progress) {
+        if (currentLease != 0)
+            C.reclaim(currentLease, workerId, loss ? loss : "unknown");
+        else if (loss && C.opts.progress)
             inform("fabric: worker %u disconnected (%s)", workerId, loss);
-        }
     } catch (const SimError &e) {
         // Transport failure on this connection: reclaim and move on;
         // the sweep only dies when cells exhaust their attempts.
-        std::vector<std::size_t> poisoned;
-        std::lock_guard<std::mutex> lock(C.mtx);
-        if (currentLease != 0) {
-            const std::size_t requeued =
-                C.leases.reclaim(currentLease, poisoned);
-            if (C.opts.progress) {
-                inform("fabric: worker %u lost (%s); reassigning %zu "
-                       "cell(s)",
-                       workerId, e.message().c_str(), requeued);
-            }
-            C.poisonCells(poisoned);
-        }
+        if (currentLease != 0)
+            C.reclaim(currentLease, workerId, e.message().c_str());
     }
 }
 
 std::string
-workerBinaryPath(const FabricOptions &opts)
+workerBinaryPath()
 {
-    if (!opts.workerBinary.empty())
-        return opts.workerBinary;
     if (const char *env = std::getenv("SVRSIM_WORKER_BIN"))
         return env;
     char buf[4096];
@@ -749,16 +660,11 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
                         fopts.heartbeatMs, fopts.leaseTimeoutMs / 3);
     }
 
-    // Map restored cells onto matrix indices (extra journal cells —
-    // e.g. a shard from a superset sweep — are simply ignored).
-    std::vector<std::size_t> already_done;
-    for (std::size_t idx = 0; idx < num_cells; idx++) {
-        const auto it =
-            restored.find({workloads[idx / configs.size()].name,
-                           configs[idx % configs.size()].label});
-        if (it != restored.end())
-            already_done.push_back(idx);
-    }
+    // Restored cells (journal resume, shards) are born complete;
+    // extra journal cells, e.g. from a superset sweep, are ignored.
+    const FaultPlan faults = FaultPlan::fromEnv();
+    CellLedger ledger(workloads, configs, restored, journal, faults,
+                      spec.key.seed, CellLedger::Engine::Fabric);
 
     // Auto lease size: a few leases per worker wave so reassignment
     // after a death stays cheap, floor 1, cap 64.
@@ -766,7 +672,8 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
     if (chunk == 0) {
         const unsigned workers_hint =
             fopts.spawnWorkers > 0 ? fopts.spawnWorkers : 4;
-        const std::size_t open_cells = num_cells - already_done.size();
+        const std::size_t open_cells =
+            num_cells - ledger.doneIndices().size();
         chunk = static_cast<unsigned>(
             open_cells / (static_cast<std::size_t>(workers_hint) * 4));
         if (chunk < 1)
@@ -775,13 +682,7 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
             chunk = 64;
     }
 
-    Coord C(fopts, workloads, configs, spec, journal, chunk,
-            already_done);
-    for (std::size_t idx : already_done) {
-        C.results[idx] = restored.at({C.cellWorkload(idx),
-                                      C.cellConfig(idx)});
-        C.have[idx] = 1;
-    }
+    Coord C(fopts, spec, ledger, chunk);
 
     const std::string listen_spec =
         !fopts.listen.empty() ? fopts.listen
@@ -793,16 +694,14 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
     // Spawn local workers before any handler thread exists, so fork()
     // happens while this process is still single-threaded.
     std::vector<pid_t> children;
-    const std::string worker_bin = workerBinaryPath(fopts);
+    const std::string worker_bin = workerBinaryPath();
     const std::string connect_spec = listener.addr().str();
     for (unsigned i = 0; i < fopts.spawnWorkers; i++)
         children.push_back(spawnWorker(worker_bin, connect_spec,
                                        fopts.workerJobs,
                                        fopts.heartbeatMs));
 
-    unsigned respawn_budget = fopts.respawnBudget > 0
-                                  ? fopts.respawnBudget
-                                  : 3 * fopts.spawnWorkers;
+    unsigned respawn_budget = 3 * fopts.spawnWorkers;
     const bool expect_external = !fopts.listen.empty();
 
     std::vector<std::thread> handlers;
@@ -911,31 +810,12 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
     }
 
     const std::chrono::duration<double> elapsed = Clock::now() - t_start;
-    MatrixTiming t;
-    t.wallSeconds = elapsed.count();
-    t.cells = num_cells;
-    t.jobs = C.workersSeen > 0 ? C.workersSeen : 1;
-    t.restoredCells = already_done.size();
-    for (const SimResult &r : C.results) {
-        t.instructions += r.core.instructions;
-        if (r.failed)
-            t.failedCells++;
-    }
-    if (fopts.progress) {
-        inform("fabric: %zu cells in %.2fs (%.2f cells/sec, "
-               "%.2f Msimips, %u workers)",
-               t.cells, t.wallSeconds, t.cellsPerSec(), t.msimips(),
-               t.jobs);
-        if (t.failedCells > 0)
-            warn("fabric: %zu cell(s) failed (see failure records)",
-                 t.failedCells);
-        if (t.restoredCells > 0)
-            inform("fabric: %zu cell(s) restored from journal",
-                   t.restoredCells);
-    }
+    const MatrixTiming t = ledger.summarize(
+        elapsed.count(), C.workersSeen > 0 ? C.workersSeen : 1,
+        fopts.progress);
     if (timing)
         *timing = t;
-    return std::move(C.results);
+    return flattenMatrix(ledger.takeRows());
 }
 
 // ---------------------------------------------------------------- //
@@ -983,7 +863,7 @@ runFabricWorker(const WorkerOptions &opts)
             return false;
         try {
             conn.send(req);
-            if (conn.recv(rep, opts.replyTimeoutMs) != RecvStatus::Ok) {
+            if (conn.recv(rep, workerReplyTimeoutMs) != RecvStatus::Ok) {
                 dead.store(true, std::memory_order_relaxed);
                 return false;
             }
@@ -1009,12 +889,12 @@ runFabricWorker(const WorkerOptions &opts)
                       " " + std::to_string(opts.jobs) +
                       (rejoin_token.empty() ? std::string()
                                             : " " + rejoin_token));
-            if (conn.recv(msg, opts.replyTimeoutMs) != RecvStatus::Ok)
+            if (conn.recv(msg, workerReplyTimeoutMs) != RecvStatus::Ok)
                 return 2;
         } catch (const SimError &) {
             return 2;
         }
-        Tok wt(msg);
+        TokenReader wt(msg);
         if (wt.raw() != "WELCOME") {
             warn("worker: rejected by coordinator: %s", msg.c_str());
             return 1;
@@ -1133,7 +1013,7 @@ runFabricWorker(const WorkerOptions &opts)
 
     try {
         conn = wireConnect(WireAddr::parse(opts.connect),
-                           opts.connectTimeoutMs);
+                           workerConnectTimeoutMs);
         {
             const int hs = handshake();
             if (hs != 0) {
@@ -1154,8 +1034,6 @@ runFabricWorker(const WorkerOptions &opts)
         mopts.keepGoing = spec.keepGoing;
         mopts.maxAttempts = spec.retries;
         mopts.faultPlan = FaultPlan::fromEnv();
-        mopts.progress = false;
-        mopts.summary = false;
 
         inform("worker %llu: connected to %s (%zu-cell matrix)",
                static_cast<unsigned long long>(worker_id),
@@ -1179,7 +1057,6 @@ runFabricWorker(const WorkerOptions &opts)
             }
         });
 
-        ThreadPool pool(opts.jobs);
         std::vector<std::size_t> cells;
         for (;;) {
             if (dead.load(std::memory_order_relaxed)) {
@@ -1195,7 +1072,7 @@ runFabricWorker(const WorkerOptions &opts)
             std::string reply;
             if (!exchange("LEASE?", reply))
                 continue; // dead now; the loop head reconnects
-            Tok t(reply);
+            TokenReader t(reply);
             const std::string verb = t.raw();
             if (verb == "FIN" || verb == "STOP")
                 break;
@@ -1222,11 +1099,11 @@ runFabricWorker(const WorkerOptions &opts)
             }
 
             // Simulate the lease's cells — in parallel when jobs > 1.
-            // The ThreadPool's capture-first-exception contract makes
-            // a fail-fast SimError surface from parallelFor() exactly
-            // like it surfaces from runMatrix().
+            // parallelFor() rethrows the first error, so a fail-fast
+            // SimError surfaces here exactly like it surfaces from
+            // runMatrix().
             std::atomic<bool> lease_stale{false};
-            pool.parallelFor(cells.size(), [&](std::size_t k) {
+            parallelFor(cells.size(), opts.jobs, [&](std::size_t k) {
                 const std::size_t idx = cells[k];
                 if (idx >= num_cells) {
                     throw simErrorf(ErrCode::InternalInvariant, {},
@@ -1241,9 +1118,7 @@ runFabricWorker(const WorkerOptions &opts)
                 }
                 const WorkloadSpec &w = workloads[idx / configs.size()];
                 const SimConfig &c = configs[idx % configs.size()];
-                SimResult res = runIsolatedCell(w, c, mopts);
-                res.workload = w.name;
-                res.config = c.label;
+                const SimResult res = runIsolatedCell(w, c, mopts);
                 if (lease_stale.load(std::memory_order_relaxed))
                     return;
                 std::string rep;
@@ -1299,10 +1174,10 @@ runFabricWorker(const WorkerOptions &opts)
             if (conn.valid()) {
                 std::lock_guard<std::mutex> lock(sock_mtx);
                 conn.send(std::string("ERROR ") +
-                          journalEscape(errCodeName(e.code())) + " " +
-                          journalEscape(e.message()) + " " +
-                          journalEscape(e.context().workload) + " " +
-                          journalEscape(e.context().config));
+                          escapeField(errCodeName(e.code())) + " " +
+                          escapeField(e.message()) + " " +
+                          escapeField(e.context().workload) + " " +
+                          escapeField(e.context().config));
                 std::string rep;
                 conn.recv(rep, 2000);
             }
@@ -1312,6 +1187,96 @@ runFabricWorker(const WorkerOptions &opts)
         warn("worker: fatal: %s", e.what());
         return 1;
     }
+}
+
+std::size_t
+runSweep(const SweepSpec &spec, const SweepOutput &out, unsigned jobs,
+         const FabricOptions *fabric)
+{
+    if (out.resume && out.path.empty()) {
+        throw simErrorf(ErrCode::ConfigInvalid, {},
+                        "--resume requires --out PATH (the journal "
+                        "lives at PATH.journal)");
+    }
+    std::vector<WorkloadSpec> workloads;
+    std::vector<SimConfig> configs;
+    spec.materialize(workloads, configs);
+    const FaultPlan faults = FaultPlan::fromEnv();
+
+    const std::string journal_path = out.path + ".journal";
+    JournalCells restored;
+    if (out.resume && ::access(journal_path.c_str(), F_OK) == 0) {
+        restored = loadJournal(journal_path, spec.key);
+        inform("resume: %zu cell(s) already journaled in '%s'",
+               restored.size(), journal_path.c_str());
+    } else if (out.resume) {
+        inform("resume: no journal at '%s'; starting fresh",
+               journal_path.c_str());
+    }
+    // Shard cells (e.g. journals shipped from another host) count as
+    // completed too. Cells in more than one journal are identical by
+    // the determinism contract, so duplicates are counted, not compared.
+    JournalCells from_shards;
+    std::size_t dups = 0;
+    for (const std::string &shard : out.shards) {
+        for (auto &kv : loadJournal(shard, spec.key)) {
+            if (restored.count(kv.first) ||
+                !from_shards.insert(std::move(kv)).second)
+                dups++;
+        }
+    }
+    if (!out.shards.empty()) {
+        inform("shards: %zu cell(s) restored from %zu shard(s) "
+               "(%zu duplicate record(s))",
+               from_shards.size(), out.shards.size(), dups);
+    }
+    std::unique_ptr<SweepJournal> journal;
+    if (!out.path.empty()) {
+        journal = std::make_unique<SweepJournal>(journal_path, spec.key,
+                                                 out.fsync);
+        // Shard cells are not in PATH.journal yet; append them so it
+        // alone can resume the sweep.
+        for (const auto &kv : from_shards)
+            journal->append(kv.second);
+    }
+    restored.merge(from_shards);
+
+    MatrixTiming timing;
+    std::vector<SimResult> results;
+    if (fabric) {
+        results = runFabricSweep(workloads, configs, spec, *fabric,
+                                 restored, journal.get(), &timing);
+    } else {
+        MatrixOptions opts;
+        opts.jobs = jobs;
+        opts.baseSeed = spec.key.seed;
+        opts.keepGoing = spec.keepGoing;
+        opts.maxAttempts = spec.retries;
+        opts.faultPlan = faults;
+        opts.restored = std::move(restored);
+        opts.journal = journal.get();
+        results = flattenMatrix(runMatrix(workloads, configs, opts, &timing));
+    }
+
+    const bool sampled = !spec.key.sampling.empty();
+    std::string content;
+    if (out.json) {
+        content = toJson(results);
+    } else {
+        content = csvHeader(sampled) + "\n";
+        for (const SimResult &r : results)
+            content += csvRow(r, sampled) + "\n";
+    }
+    if (out.path.empty()) {
+        std::fputs(content.c_str(), stdout);
+    } else {
+        writeFileAtomic(out.path, content, faults, out.fsync);
+        journal.reset();
+        // The artifact is durable; the journal is now redundant.
+        if (!out.keepJournal)
+            std::remove(journal_path.c_str());
+    }
+    return timing.failedCells;
 }
 
 } // namespace svr

@@ -99,6 +99,9 @@ struct SweepSpec
     /** Parse encode() output; false on a malformed spec. */
     static bool decode(const std::string &text, SweepSpec &out);
 
+    /** Set key.sampling from @p sampling ("" when it is off). */
+    void setSampling(const SamplingParams &sampling);
+
     /**
      * Rebuild the cell matrix: suiteByName(key.suite) workloads and
      * presets::byName() configs with window/sampling applied — the
@@ -239,24 +242,27 @@ struct FabricOptions
      * 0 = auto (leaseTimeoutMs / 2), < 0 disables hedging.
      */
     int hedgeMs = 0;
-    /** Worker deaths before a cell is poisoned (>= 1). */
+    /**
+     * Worker deaths before a cell is poisoned (>= 1). Crashed local
+     * workers are respawned up to 3 x spawnWorkers times; the worker
+     * binary is SVRSIM_WORKER_BIN, else svrsim_worker next to this
+     * executable.
+     */
     unsigned maxCellAttempts = 3;
-    /** Total local respawns allowed across the sweep. */
-    unsigned respawnBudget = 0; //!< 0 = auto (3x spawnWorkers)
-    /** Path to the svrsim_worker binary; empty = next to this one. */
-    std::string workerBinary;
     /** Emit progress lines (worker joins/losses, respawns). */
     bool progress = true;
 };
 
 /**
- * Run the sweep as fabric coordinator: lease cells to workers, merge
- * streamed results, journal each newly completed cell to @p journal
- * (may be null), and return the results in workload-major order —
- * byte-for-byte what flattenMatrix(runMatrix(...)) would produce.
- * @p restored cells are taken as already complete and never leased
- * (lease-aware resume). Throws SimError on a fail-fast cell failure,
- * a poisoned lease without keep-going, or a transport breakdown.
+ * Run the sweep as fabric coordinator: lease cells to workers, record
+ * streamed results in the cell ledger (sim/ledger.hh) — which
+ * journals each newly completed cell to @p journal (may be null) —
+ * and return the results in workload-major order, byte-for-byte what
+ * flattenMatrix(runMatrix(...)) would produce. @p restored cells are
+ * taken as already complete and never leased (lease-aware resume),
+ * exactly as runMatrix() takes MatrixOptions::restored. Throws
+ * SimError on a fail-fast cell failure, a poisoned lease without
+ * keep-going, or a transport breakdown.
  * @p timing receives the wall-clock summary (jobs = workers seen).
  */
 std::vector<SimResult>
@@ -272,8 +278,6 @@ struct WorkerOptions
     std::string connect;         //!< coordinator endpoint (required)
     unsigned jobs = 1;           //!< threads over the cells of a lease
     int heartbeatMs = 1000;      //!< PING period while simulating
-    int connectTimeoutMs = 15000;
-    int replyTimeoutMs = 30000;  //!< coordinator silence tolerance
     /**
      * Total window for reconnect attempts after a lost connection
      * (exponential backoff + jitter inside it); the worker gives up
@@ -284,12 +288,37 @@ struct WorkerOptions
 
 /**
  * Run as fabric worker: connect, receive the sweep spec, simulate
- * leased cells (ThreadPool-parallel within the lease when jobs > 1),
+ * leased cells (parallelFor() within the lease when jobs > 1),
  * stream results, repeat until FIN. Returns a process exit code:
  * 0 = completed/FIN, 1 = fatal SimError (also reported to the
  * coordinator as ERROR), 2 = transport loss.
  */
 int runFabricWorker(const WorkerOptions &opts);
+
+/** Where a sweep writes its artifact and journal. */
+struct SweepOutput
+{
+    /** Artifact path, written atomically; empty = stdout, no journal. */
+    std::string path;
+    bool json = false;        //!< JSON artifact instead of CSV
+    bool resume = false;      //!< restore cells already in PATH.journal
+    bool keepJournal = false; //!< keep PATH.journal after success
+    bool fsync = false;       //!< fsync journal records and the artifact
+    /** Journal shards whose cells count as already completed. */
+    std::vector<std::string> shards;
+};
+
+/**
+ * The sweep tool's one call: materialize @p spec's cell matrix, run it
+ * on @p jobs local threads (runMatrix()) or, when @p fabric is set, on
+ * fabric workers (runFabricSweep()), and write the artifact. With
+ * out.path every finished cell is journaled to PATH.journal, which
+ * goes away once the artifact is durable unless out.keepJournal.
+ * SVRSIM_FAULT applies throughout. Returns the number of failed cells
+ * (keep-going); throws SimError on a fail-fast failure.
+ */
+std::size_t runSweep(const SweepSpec &spec, const SweepOutput &out,
+                     unsigned jobs, const FabricOptions *fabric);
 
 } // namespace svr
 

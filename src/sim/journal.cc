@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace svr
 {
@@ -16,7 +18,38 @@ namespace svr
 namespace
 {
 
-/** %-escape so a value is one whitespace-free token ("-" = empty). */
+/** Exact double round-trip: %.17g out, correctly-rounded strtod in. */
+void
+putDouble(std::ostringstream &os, double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    os << ' ' << buf;
+}
+
+[[noreturn]] void
+ioError(const char *op, const std::string &path, int err)
+{
+    throw simErrorf(ErrCode::IoError, {}, "journal: %s '%s' failed: %s",
+                    op, path.c_str(), std::strerror(err));
+}
+
+std::string
+headerLine(const SweepKey &key)
+{
+    std::ostringstream os;
+    os << "J1 " << escapeField(key.suite) << ' '
+       << escapeField(key.configs) << ' ' << key.window << ' '
+       << key.seed;
+    // Appended only when sampling is on: a full-detail sweep's header
+    // stays byte-identical to the original J1 format.
+    if (!key.sampling.empty())
+        os << ' ' << escapeField(key.sampling);
+    return os.str();
+}
+
+} // namespace
+
 std::string
 escapeField(const std::string &s)
 {
@@ -54,92 +87,6 @@ unescapeField(const std::string &s)
         }
     }
     return out;
-}
-
-/** Exact double round-trip: %.17g out, correctly-rounded strtod in. */
-void
-putDouble(std::ostringstream &os, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << ' ' << buf;
-}
-
-/** Token-stream reader that remembers whether anything went wrong. */
-struct Reader
-{
-    std::istringstream is;
-    bool ok = true;
-
-    explicit Reader(const std::string &line) : is(line) {}
-
-    std::string
-    str()
-    {
-        std::string tok;
-        if (!(is >> tok))
-            ok = false;
-        return unescapeField(tok);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        if (!(is >> v))
-            ok = false;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        std::string tok;
-        if (!(is >> tok)) {
-            ok = false;
-            return 0.0;
-        }
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0')
-            ok = false;
-        return v;
-    }
-};
-
-[[noreturn]] void
-ioError(const char *op, const std::string &path, int err)
-{
-    throw simErrorf(ErrCode::IoError, {}, "journal: %s '%s' failed: %s",
-                    op, path.c_str(), std::strerror(err));
-}
-
-std::string
-headerLine(const SweepKey &key)
-{
-    std::ostringstream os;
-    os << "J1 " << escapeField(key.suite) << ' '
-       << escapeField(key.configs) << ' ' << key.window << ' '
-       << key.seed;
-    // Appended only when sampling is on: a full-detail sweep's header
-    // stays byte-identical to the original J1 format.
-    if (!key.sampling.empty())
-        os << ' ' << escapeField(key.sampling);
-    return os.str();
-}
-
-} // namespace
-
-std::string
-journalEscape(const std::string &s)
-{
-    return escapeField(s);
-}
-
-std::string
-journalUnescape(const std::string &s)
-{
-    return unescapeField(s);
 }
 
 std::string
@@ -185,9 +132,9 @@ journalLine(const SimResult &r)
 bool
 parseJournalLine(const std::string &line, SimResult &out)
 {
-    Reader rd(line);
-    std::string tag;
-    if (!(rd.is >> tag) || (tag != "R1" && tag != "R2"))
+    TokenReader rd(line);
+    const std::string tag = rd.raw();
+    if (tag != "R1" && tag != "R2")
         return false;
 
     SimResult r;
@@ -253,81 +200,58 @@ SweepJournal::SweepJournal(const std::string &path, const SweepKey &key,
 {
     // Append mode keeps existing records when resuming; the header is
     // only written when the file is new or empty.
-    file = std::fopen(path.c_str(), "ab");
+    file.reset(std::fopen(path.c_str(), "a+b"));
     if (!file)
         ioError("open", path, errno);
     // Whether 'a' mode positions at 0 or EOF before the first write is
     // implementation-defined; seek explicitly before the empty check.
-    std::fseek(file, 0, SEEK_END);
-    const long pos = std::ftell(file);
-    if (pos == 0) {
-        const std::string header = headerLine(key) + "\n";
-        if (std::fwrite(header.data(), 1, header.size(), file) !=
-                header.size() ||
-            std::fflush(file) != 0) {
-            const int err = errno;
-            std::fclose(file);
-            file = nullptr;
-            ioError("write header", path, err);
-        }
-        if (fsyncEach && ::fsync(::fileno(file)) != 0) {
-            const int err = errno;
-            std::fclose(file);
-            file = nullptr;
-            ioError("fsync header", path, err);
-        }
-    }
-}
-
-SweepJournal::~SweepJournal()
-{
-    if (file)
-        std::fclose(file);
+    std::fseek(file.get(), 0, SEEK_END);
+    const bool empty = std::ftell(file.get()) == 0;
+    // A crash mid-append can leave a torn final line: end it, so the
+    // next record starts a line of its own instead of extending (and
+    // so corrupting) the torn one, which the loader skips.
+    const bool torn = !empty &&
+                      std::fseek(file.get(), -1, SEEK_END) == 0 &&
+                      std::fgetc(file.get()) != '\n';
+    std::fseek(file.get(), 0, SEEK_END); // reading -> writing
+    if (empty)
+        write(headerLine(key) + "\n");
+    else if (torn)
+        write("\n");
 }
 
 void
 SweepJournal::append(const SimResult &r)
 {
-    const std::string line = journalLine(r) + "\n";
-    if (std::fwrite(line.data(), 1, line.size(), file) != line.size() ||
-        std::fflush(file) != 0) {
+    write(journalLine(r) + "\n");
+}
+
+void
+SweepJournal::write(const std::string &text)
+{
+    if (std::fwrite(text.data(), 1, text.size(), file.get()) !=
+            text.size() ||
+        std::fflush(file.get()) != 0) {
         // A short write here is ENOSPC (or a dying disk) surfacing
         // through stdio — either way the record cannot be trusted.
         ioError("append", journalPath, errno);
     }
-    if (fsyncEach && ::fsync(::fileno(file)) != 0)
+    if (fsyncEach && ::fsync(::fileno(file.get())) != 0)
         ioError("fsync", journalPath, errno);
 }
 
 JournalCells
 loadJournal(const std::string &path, const SweepKey &expect)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        ioError("open", path, errno);
-    std::string content;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        ioError("read", path, EIO);
+    const std::string content = readFile(path);
 
     // A record line is only trusted when newline-terminated: a crash
     // mid-append leaves a torn final line, which we drop.
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t end = content.find('\n', start);
-        if (end == std::string::npos)
-            break;
-        lines.push_back(content.substr(start, end - start));
-        start = end + 1;
-    }
-    if (start < content.size())
+    std::vector<std::string> lines = splitList(content, '\n');
+    if (!content.empty() && content.back() != '\n') {
         warn("journal '%s': dropping torn final line", path.c_str());
+        lines.pop_back();
+    }
 
     if (lines.empty() || lines[0] != headerLine(expect)) {
         throw simErrorf(
@@ -340,37 +264,15 @@ loadJournal(const std::string &path, const SweepKey &expect)
 
     JournalCells cells;
     for (std::size_t i = 1; i < lines.size(); i++) {
-        if (lines[i].empty())
-            continue;
         SimResult r;
         if (!parseJournalLine(lines[i], r)) {
-            warn("journal '%s': skipping corrupt record line %zu",
-                 path.c_str(), i + 1);
+            warn("journal '%s': skipping corrupt record %zu",
+                 path.c_str(), i);
             continue;
         }
         cells[{r.workload, r.config}] = std::move(r);
     }
     return cells;
-}
-
-JournalCells
-loadJournalShards(const std::vector<std::string> &paths,
-                  const SweepKey &expect, std::size_t *duplicates)
-{
-    JournalCells merged;
-    std::size_t dups = 0;
-    for (const std::string &path : paths) {
-        JournalCells shard = loadJournal(path, expect);
-        for (auto &kv : shard) {
-            // Identical cells are interchangeable (deterministic per-
-            // cell streams), so only count the collision.
-            if (!merged.emplace(kv.first, std::move(kv.second)).second)
-                dups++;
-        }
-    }
-    if (duplicates)
-        *duplicates = dups;
-    return merged;
 }
 
 } // namespace svr

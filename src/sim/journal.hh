@@ -27,7 +27,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,10 +76,67 @@ std::string journalLine(const SimResult &r);
  * encodes the empty string) — the token format shared by journal
  * records and the fabric wire messages (sim/fabric.hh).
  */
-std::string journalEscape(const std::string &s);
+std::string escapeField(const std::string &s);
 
-/** Invert journalEscape(). */
-std::string journalUnescape(const std::string &s);
+/** Invert escapeField(). */
+std::string unescapeField(const std::string &s);
+
+/**
+ * Reader over the whitespace-separated tokens of one journal record
+ * or wire message. A failed read sets ok = false instead of throwing,
+ * so a parser reads every field and checks once at the end.
+ */
+struct TokenReader
+{
+    std::istringstream is;
+    bool ok = true;
+
+    explicit TokenReader(const std::string &text) : is(text) {}
+
+    /** The next token, verbatim. */
+    std::string
+    raw()
+    {
+        std::string tok;
+        if (!(is >> tok))
+            ok = false;
+        return tok;
+    }
+
+    /** The next token, unescaped (see escapeField()). */
+    std::string str() { return unescapeField(raw()); }
+
+    std::uint64_t
+    u64()
+    {
+        std::uint64_t v = 0;
+        if (!(is >> v))
+            ok = false;
+        return v;
+    }
+
+    /** A %.17g double; strict, so a torn token is an error. */
+    double
+    f64()
+    {
+        const std::string tok = raw();
+        char *end = nullptr;
+        const double v = std::strtod(tok.c_str(), &end);
+        if (end == tok.c_str() || *end != '\0')
+            ok = false;
+        return v;
+    }
+
+    /** Everything after the current position (leading spaces trimmed). */
+    std::string
+    rest()
+    {
+        std::string r;
+        std::getline(is, r);
+        const std::size_t pos = r.find_first_not_of(' ');
+        return pos == std::string::npos ? std::string{} : r.substr(pos);
+    }
+};
 
 /**
  * Parse one "R1 ..." line. Returns false on a torn/corrupt line
@@ -99,18 +159,16 @@ class SweepJournal
   public:
     SweepJournal(const std::string &path, const SweepKey &key,
                  bool fsync_each = false);
-    ~SweepJournal();
-
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
 
     void append(const SimResult &r);
 
-    const std::string &path() const { return journalPath; }
-
   private:
+    /** Write, flush (and with fsyncEach, fsync) @p text. */
+    void write(const std::string &text);
+
     std::string journalPath;
-    std::FILE *file = nullptr;
+    std::unique_ptr<std::FILE, int (*)(std::FILE *)> file{nullptr,
+                                                          std::fclose};
     bool fsyncEach = false;
 };
 
@@ -122,20 +180,6 @@ class SweepJournal
  * corrupt record lines are skipped with a warn().
  */
 JournalCells loadJournal(const std::string &path, const SweepKey &expect);
-
-/**
- * Merge several journal shards (e.g. shipped from workers that
- * journaled locally on other hosts) into one completed-cell map.
- * Every shard must carry the same sweep identity @p expect; cells
- * appearing in more than one shard are identical by the determinism
- * contract (same cell => same seeded stream => same record), so the
- * first occurrence wins and duplicates are counted, not compared.
- * Returns the union; @p duplicates (optional) receives the number of
- * duplicate records dropped.
- */
-JournalCells loadJournalShards(const std::vector<std::string> &paths,
-                               const SweepKey &expect,
-                               std::size_t *duplicates = nullptr);
 
 } // namespace svr
 

@@ -74,9 +74,9 @@ testSocketPath(const char *tag)
 
 TEST(NetFaultPlan, ParsesTheFullGrammar)
 {
-    const NetFaultPlan p = NetFaultPlan::parse(
+    const NetFaultPlan p = FaultPlan::parse(
         "seed=9;drop=0.25;corrupt=0.5;trunc=0.125;delay=1/250;"
-        "part=100+200,400+50;after=3");
+        "part=100+200,400+50;after=3").net();
     EXPECT_EQ(p.seed, 9u);
     EXPECT_DOUBLE_EQ(p.dropP, 0.25);
     EXPECT_DOUBLE_EQ(p.corruptP, 0.5);
@@ -95,9 +95,9 @@ TEST(NetFaultPlan, ParsesTheFullGrammar)
 TEST(NetFaultPlan, DefaultAndSeedOnlyPlansAreDisabled)
 {
     EXPECT_FALSE(NetFaultPlan{}.enabled());
-    EXPECT_FALSE(NetFaultPlan::parse("seed=123").enabled());
-    EXPECT_TRUE(NetFaultPlan::parse("drop=0.01").enabled());
-    EXPECT_TRUE(NetFaultPlan::parse("part=0+100").enabled());
+    EXPECT_FALSE(FaultPlan::parse("seed=123").net().enabled());
+    EXPECT_TRUE(FaultPlan::parse("drop=0.01").net().enabled());
+    EXPECT_TRUE(FaultPlan::parse("part=0+100").net().enabled());
 }
 
 TEST(NetFaultPlan, RejectsMalformedSpecs)
@@ -106,18 +106,18 @@ TEST(NetFaultPlan, RejectsMalformedSpecs)
          {"bogus=1", "drop=", "drop=x", "drop=1.5", "drop=-0.1",
           "corrupt=2", "delay=0.5", "delay=0.5/", "delay=0.5/-3",
           "part=100", "part=+5", "part=a+b", "after=x", "seed="}) {
-        EXPECT_THROW(NetFaultPlan::parse(bad), SimError) << bad;
+        EXPECT_THROW(FaultPlan::parse(bad), SimError) << bad;
     }
 }
 
 TEST(NetFaultPlan, FromEnvFollowsTheEnvironment)
 {
-    ::unsetenv("SVRSIM_NET_FAULT");
-    EXPECT_FALSE(NetFaultPlan::fromEnv().enabled());
+    ::unsetenv("SVRSIM_FAULT");
+    EXPECT_FALSE(FaultPlan::fromEnv().net().enabled());
 
-    ::setenv("SVRSIM_NET_FAULT", "seed=4;drop=0.125", 1);
-    const NetFaultPlan p = NetFaultPlan::fromEnv();
-    ::unsetenv("SVRSIM_NET_FAULT");
+    ::setenv("SVRSIM_FAULT", "seed=4;drop=0.125", 1);
+    const NetFaultPlan p = FaultPlan::fromEnv().net();
+    ::unsetenv("SVRSIM_FAULT");
     EXPECT_EQ(p.seed, 4u);
     EXPECT_DOUBLE_EQ(p.dropP, 0.125);
     EXPECT_TRUE(p.enabled());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +20,7 @@
 #include "common/fault.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
@@ -178,6 +180,52 @@ TEST(FaultPlan, EmptySpecAndEnvAbsentAreEmptyPlans)
     EXPECT_TRUE(FaultPlan::fromEnv().empty());
 }
 
+TEST(FaultPlan, NetworkItemsSitNextToCellRules)
+{
+    // One grammar: network KEY=VALUE items and KIND@TARGET rules mix
+    // in a single SVRSIM_FAULT spec.
+    const FaultPlan plan = FaultPlan::parse(
+        "kill@HJ8/SVR16;seed=11;drop=0.02;ckill@Camel/SVR16;after=4");
+    EXPECT_TRUE(plan.shouldKill("HJ8", "SVR16"));
+    EXPECT_TRUE(plan.shouldCoordKill("Camel", "SVR16"));
+    EXPECT_EQ(plan.net().seed, 11u);
+    EXPECT_DOUBLE_EQ(plan.net().dropP, 0.02);
+    EXPECT_EQ(plan.net().skipFirst, 4u);
+    EXPECT_TRUE(plan.net().enabled());
+
+    EXPECT_FALSE(FaultPlan::parse("io@x").net().enabled());
+    EXPECT_FALSE(FaultPlan::parse("drop=0.5").empty());
+    EXPECT_TRUE(FaultPlan::parse("seed=3").empty());
+}
+
+TEST(ParseNumber, AcceptsWholeNumbersOnly)
+{
+    EXPECT_EQ(parseNumber<std::uint64_t>("400000", "--window"), 400000u);
+    EXPECT_EQ(parseNumber<unsigned>("0", "--jobs"), 0u);
+    EXPECT_EQ(parseNumber<int>("-1", "--hedge-ms"), -1);
+    EXPECT_DOUBLE_EQ(parseNumber<double>("12.5", "--bw"), 12.5);
+    EXPECT_DOUBLE_EQ(parseNumber<double>("1e3", "--bw"), 1000.0);
+
+    const auto rejects = [](auto zero, const char *text) {
+        try {
+            parseNumber<decltype(zero)>(text, "--flag");
+            ADD_FAILURE() << "accepted '" << text << "'";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrCode::ConfigInvalid) << text;
+            EXPECT_NE(e.message().find("--flag"), std::string::npos);
+        }
+    };
+    for (const char *bad : {"", "abc", "1e", "12x", " 7", "7 ", "+3", "-5",
+                            "99999999999999999999"})
+        rejects(std::uint64_t{}, bad);
+    rejects(unsigned{}, "4294967296");   // overflows 32 bits
+    rejects(int{}, "2147483648");
+    rejects(double{}, "1e");
+    rejects(double{}, "nan");
+    rejects(double{}, "inf");
+    rejects(double{}, "1e999");
+}
+
 TEST(FaultPlan, BadGrammarThrowsConfigInvalid)
 {
     const char *bad[] = {
@@ -188,6 +236,10 @@ TEST(FaultPlan, BadGrammarThrowsConfigInvalid)
         "hang@W/C:3", // attempt bound on non-throw rule
         "io@", // empty substring
         "throw", // missing '@'
+        "drop=1.5", // probability out of range
+        "bogus=1", // unknown network key
+        "delay=0.5", // delay without MS
+        "seed=-1", // signed seed
     };
     for (const char *spec : bad) {
         try {
@@ -548,52 +600,81 @@ TEST(Journal, MismatchedSweepIdentityIsRejected)
     std::remove(path.c_str());
 }
 
+/** The record lines of the journal at @p path (header dropped). */
+std::vector<std::string>
+journalRecords(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return lines;
+    std::string line;
+    for (int c; (c = std::fgetc(f)) != EOF;) {
+        if (c != '\n') {
+            line += static_cast<char>(c);
+            continue;
+        }
+        lines.push_back(line);
+        line.clear();
+    }
+    std::fclose(f);
+    if (!lines.empty())
+        lines.erase(lines.begin()); // the J1 header
+    return lines;
+}
+
 TEST(Journal, ResumedMatrixIsByteIdenticalToUninterruptedRun)
 {
     const auto workloads = tinySuite();
     const auto configs = tinyConfigs();
+    const std::size_t num_cells = workloads.size() * configs.size();
 
     // The uninterrupted reference run.
     MatrixOptions opts = quietOpts(2);
-    const std::string reference =
-        toJson(flattenMatrix(runMatrix(workloads, configs, opts)));
+    const std::vector<SimResult> ref =
+        flattenMatrix(runMatrix(workloads, configs, opts));
+    const std::string reference = toJson(ref);
 
-    // "Crash" after two cells: journal them through the real
-    // serializer, then resume restoring from the parsed journal.
+    // "Crash" after two cells: only they reached the journal, through
+    // the real serializer.
     const std::string path =
         ::testing::TempDir() + "svrsim_resume.journal";
+    std::remove(path.c_str());
     const SweepKey key{"tiny", "ino,svr16", 5000, 42, {}};
     {
         SweepJournal journal(path, key);
-        MatrixOptions partial = quietOpts(1);
-        unsigned journaled = 0;
-        partial.onCellDone = [&](const SimResult &r) {
-            if (journaled < 2) {
-                journal.append(r);
-                journaled++;
-            }
-        };
-        runMatrix(workloads, configs, partial);
+        journal.append(ref[0]);
+        journal.append(ref[1]);
     }
 
-    JournalCells cells = loadJournal(path, key);
-    ASSERT_EQ(cells.size(), 2u);
+    // Resume: the parsed journal is the restored data, and the same
+    // journal takes the freshly simulated cells.
     MatrixOptions resumed = quietOpts(4);
-    unsigned fresh = 0;
-    resumed.restoreCell = [&cells](const std::string &w,
-                                   const std::string &c, SimResult &out) {
-        const auto it = cells.find({w, c});
-        if (it == cells.end())
-            return false;
-        out = it->second;
-        return true;
-    };
-    resumed.onCellDone = [&fresh](const SimResult &) { fresh++; };
+    resumed.restored = loadJournal(path, key);
+    ASSERT_EQ(resumed.restored.size(), 2u);
     MatrixTiming timing;
-    const auto matrix = runMatrix(workloads, configs, resumed, &timing);
+    std::vector<MatrixRow> matrix;
+    {
+        SweepJournal journal(path, key);
+        resumed.journal = &journal;
+        matrix = runMatrix(workloads, configs, resumed, &timing);
+    }
     EXPECT_EQ(timing.restoredCells, 2u);
-    EXPECT_EQ(fresh, 2u);
     EXPECT_EQ(toJson(flattenMatrix(matrix)), reference);
+
+    // Exactly the two missing cells were simulated and journaled.
+    const std::vector<std::string> records = journalRecords(path);
+    ASSERT_EQ(records.size(), num_cells);
+    for (std::size_t i = 0; i < 2; i++)
+        EXPECT_EQ(records[i], journalLine(ref[i]));
+    std::vector<std::string> fresh(records.begin() + 2, records.end());
+    std::vector<std::string> expect_fresh;
+    for (std::size_t i = 2; i < num_cells; i++)
+        expect_fresh.push_back(journalLine(ref[i]));
+    std::sort(fresh.begin(), fresh.end());
+    std::sort(expect_fresh.begin(), expect_fresh.end());
+    EXPECT_EQ(fresh, expect_fresh);
+    EXPECT_EQ(loadJournal(path, key).size(), num_cells);
     std::remove(path.c_str());
 }
 
@@ -601,6 +682,7 @@ TEST(Journal, TruncatedFinalRecordReRunsOnlyThatCell)
 {
     const auto workloads = tinySuite();
     const auto configs = tinyConfigs();
+    const std::size_t num_cells = workloads.size() * configs.size();
 
     MatrixOptions opts = quietOpts(2);
     const std::string reference =
@@ -609,18 +691,20 @@ TEST(Journal, TruncatedFinalRecordReRunsOnlyThatCell)
     // A complete run journaled through the real writer...
     const std::string path =
         ::testing::TempDir() + "svrsim_truncated.journal";
+    std::remove(path.c_str());
     const SweepKey key{"tiny", "ino,svr16", 5000, 42, {}};
-    std::string last_workload, last_config;
     {
         SweepJournal journal(path, key);
         MatrixOptions full = quietOpts(1);
-        full.onCellDone = [&](const SimResult &r) {
-            journal.append(r);
-            last_workload = r.workload;
-            last_config = r.config;
-        };
+        full.journal = &journal;
         runMatrix(workloads, configs, full);
     }
+    std::vector<std::string> records = journalRecords(path);
+    ASSERT_EQ(records.size(), num_cells);
+    SimResult last;
+    ASSERT_TRUE(parseJournalLine(records.back(), last));
+    const std::string last_cell = last.workload + "/" + last.config;
+
     // ...then cut the final record mid-write, as a crash or full disk
     // would: drop the trailing newline plus a chunk of the line.
     {
@@ -635,30 +719,29 @@ TEST(Journal, TruncatedFinalRecordReRunsOnlyThatCell)
 
     // The torn record must be dropped: every cell but the last one
     // restores, and the resume re-simulates exactly that one cell.
-    JournalCells cells = loadJournal(path, key);
-    const std::size_t num_cells = workloads.size() * configs.size();
-    ASSERT_EQ(cells.size(), num_cells - 1);
-    EXPECT_FALSE(cells.count({last_workload, last_config}));
-
     MatrixOptions resumed = quietOpts(2);
-    std::vector<std::string> rerun;
-    resumed.restoreCell = [&cells](const std::string &w,
-                                   const std::string &c, SimResult &out) {
-        const auto it = cells.find({w, c});
-        if (it == cells.end())
-            return false;
-        out = it->second;
-        return true;
-    };
-    resumed.onCellDone = [&rerun](const SimResult &r) {
-        rerun.push_back(r.workload + "/" + r.config);
-    };
+    resumed.restored = loadJournal(path, key);
+    ASSERT_EQ(resumed.restored.size(), num_cells - 1);
+    EXPECT_FALSE(resumed.restored.count({last.workload, last.config}));
+
     MatrixTiming timing;
-    const auto matrix = runMatrix(workloads, configs, resumed, &timing);
+    std::vector<MatrixRow> matrix;
+    {
+        SweepJournal journal(path, key);
+        resumed.journal = &journal;
+        matrix = runMatrix(workloads, configs, resumed, &timing);
+    }
     EXPECT_EQ(timing.restoredCells, num_cells - 1);
-    ASSERT_EQ(rerun.size(), 1u);
-    EXPECT_EQ(rerun[0], last_workload + "/" + last_config);
     EXPECT_EQ(toJson(flattenMatrix(matrix)), reference);
+
+    // The journal gained exactly one record — the re-run cell, on a
+    // line of its own after the torn one — and now restores whole.
+    records = journalRecords(path);
+    ASSERT_EQ(records.size(), num_cells + 1); // torn line + re-run
+    SimResult rerun;
+    ASSERT_TRUE(parseJournalLine(records.back(), rerun));
+    EXPECT_EQ(rerun.workload + "/" + rerun.config, last_cell);
+    EXPECT_EQ(loadJournal(path, key).size(), num_cells);
     std::remove(path.c_str());
 }
 

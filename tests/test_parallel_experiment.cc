@@ -2,7 +2,7 @@
  * @file
  * Correctness layer for the parallel experiment engine:
  *
- *  - ThreadPool unit tests (coverage, ordering, exception
+ *  - parallelFor() unit tests (coverage, ordering, exception
  *    propagation, SVRSIM_JOBS parsing, reuse after failure);
  *  - RNG stream-splitting sanity (replay + decorrelation; the deep
  *    fuzz lives in test_fuzz.cc);
@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -38,7 +39,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "workloads/suites.hh"
@@ -49,165 +50,152 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// ThreadPool
+// parallelFor (the suite keeps the name of the queued ThreadPool it
+// replaced, so each case's history stays continuous)
 // ---------------------------------------------------------------------
 
 TEST(ThreadPool, ParallelForCoversAllIndices)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.numWorkers(), 4u);
     constexpr std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallelFor(n, [&](std::size_t i) { hits[i]++; });
+    parallelFor(n, 4, [&](std::size_t i) { hits[i]++; });
     for (std::size_t i = 0; i < n; i++)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+
+    bool ran = false;
+    parallelFor(0, 4, [&](std::size_t) { ran = true; });
+    EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, InlineModeRunsInSubmissionOrder)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.numWorkers(), 0u); // inline: no threads spawned
-    EXPECT_EQ(pool.concurrency(), 1u);
+    // jobs = 1 starts no thread: every index runs on the caller, in
+    // index order — the historical serial loop.
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    pool.parallelFor(64, [&](std::size_t i) { order.push_back(i); });
+    bool all_on_caller = true;
+    parallelFor(64, 1, [&](std::size_t i) {
+        order.push_back(i);
+        all_on_caller &= std::this_thread::get_id() == caller;
+    });
     ASSERT_EQ(order.size(), 64u);
     for (std::size_t i = 0; i < order.size(); i++)
         EXPECT_EQ(order[i], i);
+    EXPECT_TRUE(all_on_caller);
 }
 
 TEST(ThreadPool, UnevenTasksAllComplete)
 {
-    // One long task plus many short ones: idle workers must steal the
-    // short tasks instead of queueing behind the long one.
-    ThreadPool pool(4);
-    std::atomic<int> done{0};
-    std::atomic<long> sink{0};
-    pool.submit([&] {
-        long acc = 0;
-        for (int spin = 0; spin < 2000000; spin++)
-            acc += spin;
-        sink.store(acc, std::memory_order_relaxed);
-        done++;
+    // One long index plus many short ones: the other threads must keep
+    // taking short indices instead of queueing behind the long one.
+    // The long index waits for all short ones, so a static split that
+    // parked some of them behind it would time out here.
+    std::atomic<int> short_done{0};
+    bool long_saw_all = false;
+    parallelFor(101, 4, [&](std::size_t i) {
+        if (i != 0) {
+            short_done++;
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (short_done.load() < 100 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        long_saw_all = short_done.load() == 100;
     });
-    for (int i = 0; i < 100; i++)
-        pool.submit([&] { done++; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 101);
+    EXPECT_TRUE(long_saw_all);
+    EXPECT_EQ(short_done.load(), 100);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable)
 {
-    ThreadPool pool(4);
-    pool.submit([] { throw std::runtime_error("cell exploded"); });
-    for (int i = 0; i < 16; i++)
-        pool.submit([] {});
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-
-    // The error is consumed; the pool keeps working.
     std::atomic<int> done{0};
-    pool.parallelFor(16, [&](std::size_t) { done++; });
+    EXPECT_THROW(parallelFor(17, 4,
+                             [&](std::size_t i) {
+                                 if (i == 0)
+                                     throw std::runtime_error(
+                                         "cell exploded");
+                                 done++;
+                             }),
+                 std::runtime_error);
+    // Every other index still ran, and the next call starts clean.
+    EXPECT_EQ(done.load(), 16);
+    done = 0;
+    parallelFor(16, 4, [&](std::size_t) { done++; });
     EXPECT_EQ(done.load(), 16);
 }
 
 TEST(ThreadPool, InlineExceptionAlsoSurfacesAtWait)
 {
-    ThreadPool pool(1);
-    pool.submit([] { throw std::runtime_error("inline boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
+    // Inline mode captures like the threaded mode: the error surfaces
+    // only after the remaining indices ran.
+    int done = 0;
+    EXPECT_THROW(parallelFor(8, 1,
+                             [&](std::size_t i) {
+                                 if (i == 2)
+                                     throw std::runtime_error("inline boom");
+                                 done++;
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(done, 7);
 }
 
 TEST(ThreadPool, FirstOfManyErrorsIsRethrownOthersAreCounted)
 {
-    // Several jobs throw; wait() must deliver exactly one exception
-    // (the first captured) and never lose the batch or deadlock.
-    ThreadPool pool(1); // inline: deterministic "first"
-    for (int i = 0; i < 5; i++) {
-        pool.submit(
-            [i] { throw std::runtime_error("boom " + std::to_string(i)); });
-    }
+    // Several indices throw; exactly one exception (the first) comes
+    // back and the rest are counted in a warning, never lost.
+    ::testing::internal::CaptureStderr();
     try {
-        pool.wait();
-        FAIL() << "expected the first task error";
+        parallelFor(5, 1, [](std::size_t i) {
+            throw std::runtime_error("boom " + std::to_string(i));
+        });
+        ::testing::internal::GetCapturedStderr();
+        FAIL() << "expected the first error";
     } catch (const std::runtime_error &e) {
+        const std::string err = ::testing::internal::GetCapturedStderr();
         EXPECT_STREQ(e.what(), "boom 0");
+        EXPECT_NE(err.find("4 additional error(s) suppressed"),
+                  std::string::npos)
+            << err;
     }
-    // Suppressed-error state is consumed with the batch.
+    // Suppressed-error state belongs to that call alone.
     std::atomic<int> done{0};
-    pool.parallelFor(8, [&](std::size_t) { done++; });
+    parallelFor(8, 4, [&](std::size_t) { done++; });
     EXPECT_EQ(done.load(), 8);
 }
 
 TEST(ThreadPool, ThrowingJobsDoNotStarveLaterBatches)
 {
-    ThreadPool pool(4);
     for (int round = 0; round < 3; round++) {
-        for (int i = 0; i < 32; i++) {
-            pool.submit([i] {
-                if (i % 7 == 0)
-                    throw std::runtime_error("recurring failure");
-            });
-        }
-        EXPECT_THROW(pool.wait(), std::runtime_error);
+        std::atomic<int> ran{0};
+        EXPECT_THROW(parallelFor(32, 4,
+                                 [&](std::size_t i) {
+                                     ran++;
+                                     if (i % 7 == 0)
+                                         throw std::runtime_error(
+                                             "recurring failure");
+                                 }),
+                     std::runtime_error);
+        EXPECT_EQ(ran.load(), 32);
     }
     std::atomic<int> done{0};
-    pool.parallelFor(32, [&](std::size_t) { done++; });
+    parallelFor(32, 4, [&](std::size_t) { done++; });
     EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    // Shutdown contract: the destructor completes every task that was
-    // submitted, even ones still sitting in the queues when it runs.
-    // Two blockers pin both workers so the 200 counter tasks are
-    // guaranteed to be queued (not in flight) at destruction time.
-    std::atomic<int> done{0};
-    std::atomic<bool> gate{false};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 2; i++) {
-            pool.submit([&] {
-                while (!gate.load(std::memory_order_acquire))
-                    std::this_thread::yield();
-                done++;
-            });
-        }
-        for (int i = 0; i < 200; i++)
-            pool.submit([&] { done++; });
-        gate.store(true, std::memory_order_release);
-        // No wait(): the destructor must drain the queue itself.
-    }
-    EXPECT_EQ(done.load(), 202);
-}
-
-TEST(ThreadPool, DestructorIsCleanWhenQueuedTasksThrow)
-{
-    // Errors from tasks that only run during shutdown are captured the
-    // same way as in-flight ones; with no wait() to rethrow them the
-    // destructor must still complete every task and join quietly.
-    std::atomic<int> done{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; i++) {
-            pool.submit([&, i] {
-                done++;
-                if (i % 3 == 0)
-                    throw std::runtime_error("shutdown-time failure");
-            });
-        }
-    }
-    EXPECT_EQ(done.load(), 64);
 }
 
 TEST(ThreadPool, DefaultJobsHonorsEnv)
 {
     ::setenv("SVRSIM_JOBS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
+    EXPECT_EQ(defaultJobs(), 3u);
+    EXPECT_EQ(resolveJobs(0), 3u);
+    EXPECT_EQ(resolveJobs(5), 5u); // an explicit count wins
     ::setenv("SVRSIM_JOBS", "9999", 1); // clamped
-    EXPECT_EQ(ThreadPool::defaultJobs(), 256u);
+    EXPECT_EQ(defaultJobs(), 256u);
     ::setenv("SVRSIM_JOBS", "banana", 1); // ignored with a warning
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_GE(defaultJobs(), 1u);
     ::unsetenv("SVRSIM_JOBS");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_GE(defaultJobs(), 1u);
 }
 
 // ---------------------------------------------------------------------

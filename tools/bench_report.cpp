@@ -57,6 +57,7 @@
 #include "common/error.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/executor.hh"
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
@@ -641,7 +642,7 @@ try {
             baseline_path = argv[++i];
         } else if (std::strcmp(argv[i], "--threshold") == 0 &&
                    i + 1 < argc) {
-            threshold_pct = std::strtod(argv[++i], nullptr);
+            threshold_pct = parseNumber<double>(argv[++i], "--threshold");
         } else {
             std::fprintf(stderr,
                          "usage: bench_report [--quick] [--sampling] "

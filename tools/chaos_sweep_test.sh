@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Chaos end-to-end test for the distributed sweep fabric: the sweep
 # must stay byte-identical to a fault-free serial run while the
-# network misbehaves underneath it (SVRSIM_NET_FAULT, common/wire.hh)
-# and the processes themselves are killed (SVRSIM_FAULT).
+# network misbehaves underneath it and the processes themselves are
+# killed (both injected through SVRSIM_FAULT, common/fault.hh).
 #
 #   1. serial fault-free reference artifact
 #   2. lossy network              -> seeded drop/corrupt/delay schedule
@@ -37,7 +37,7 @@ echo "== step 1: serial fault-free reference artifact"
 [ -f "$DIR/ref.json" ] || fail "serial run wrote no JSON artifact"
 
 echo "== step 2: lossy network (drop/corrupt/delay), 3 workers"
-SVRSIM_NET_FAULT='seed=7;drop=0.03;corrupt=0.02;delay=0.05/20;after=4' \
+SVRSIM_FAULT='seed=7;drop=0.03;corrupt=0.02;delay=0.05/20;after=4' \
     "$SWEEP" $ARGS --json --workers 3 \
     --coordinator "tcp:127.0.0.1:$PORT" \
     --lease-timeout 8000 --heartbeat-ms 500 \
@@ -50,8 +50,7 @@ cmp "$DIR/ref.json" "$DIR/lossy.json" ||
 echo "== step 3: lossy network + worker kill + coordinator kill"
 PORT=$((PORT + 1))
 rc=0
-SVRSIM_NET_FAULT='seed=11;drop=0.02;corrupt=0.01;after=4' \
-SVRSIM_FAULT='ckill@Camel/SVR16;kill@HJ8/SVR16' \
+SVRSIM_FAULT='ckill@Camel/SVR16;kill@HJ8/SVR16;seed=11;drop=0.02;corrupt=0.01;after=4' \
     "$SWEEP" $ARGS --json --workers 3 \
     --coordinator "tcp:127.0.0.1:$PORT" \
     --lease-timeout 8000 --heartbeat-ms 500 \
@@ -65,7 +64,7 @@ grep -q "injected coordinator kill" "$DIR/chaos1.log" ||
 # the journal is replayed, orphaned workers from run 1 may rejoin with
 # their rejoin token (old-epoch results are fenced as STALE), and the
 # sweep completes byte-identically.
-SVRSIM_NET_FAULT='seed=13;drop=0.02;after=4' \
+SVRSIM_FAULT='seed=13;drop=0.02;after=4' \
     "$SWEEP" $ARGS --json --workers 3 \
     --coordinator "tcp:127.0.0.1:$PORT" --resume \
     --lease-timeout 8000 --heartbeat-ms 500 \
@@ -79,7 +78,7 @@ echo "== step 4: partition window, workers ride it out"
 PORT=$((PORT + 1))
 # Every reconnect cycle inside the window burns one attempt per
 # leased cell, so the budget must cover the whole window.
-SVRSIM_NET_FAULT='seed=5;part=700+1200;after=2' \
+SVRSIM_FAULT='seed=5;part=700+1200;after=2' \
     "$SWEEP" $ARGS --json --workers 2 --retries 12 \
     --coordinator "tcp:127.0.0.1:$PORT" \
     --lease-timeout 8000 --heartbeat-ms 500 \

@@ -31,8 +31,10 @@ files=(
     src/sim/checkpoint.cc
     src/sim/experiment.cc
     src/sim/fabric.cc
+    src/sim/ledger.cc
     src/common/stats.cc
     src/common/io.cc
+    src/common/parallel.cc
     src/common/wire.cc
     src/analysis/verifier.cc
     src/analysis/chains.cc

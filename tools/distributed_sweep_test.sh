@@ -20,6 +20,10 @@
 #                                   the same endpoint resumes from the
 #                                   journal and the artifact still
 #                                   matches byte for byte
+#   9. one ledger                -> a serial run and a 3-worker run kept
+#                                   with --keep-journal hold the same set
+#                                   of journal records (both engines
+#                                   record cells through one ledger)
 #
 # Usage: distributed_sweep_test.sh <svrsim_sweep-binary> <scratch-dir>
 set -eu
@@ -121,6 +125,17 @@ grep -q "restored from journal" "$DIR/ck2.log" ||
     fail "restarted coordinator restored nothing"
 cmp "$DIR/ref.json" "$DIR/ck.json" ||
     fail "artifact differs after a coordinator crash + restart"
+
+echo "== step 9: serial and fabric journals hold the same records"
+"$SWEEP" $ARGS --json --keep-journal --out "$DIR/lser.json" 2> /dev/null
+"$SWEEP" $ARGS --json --workers 3 --keep-journal --out "$DIR/lfab.json" \
+    2> /dev/null
+[ -f "$DIR/lser.json.journal" ] || fail "serial run dropped its journal"
+[ -f "$DIR/lfab.json.journal" ] || fail "fabric run dropped its journal"
+sort "$DIR/lser.json.journal" > "$DIR/lser.sorted"
+sort "$DIR/lfab.json.journal" > "$DIR/lfab.sorted"
+cmp "$DIR/lser.sorted" "$DIR/lfab.sorted" ||
+    fail "serial and fabric journals hold different records"
 
 rm -rf "$DIR"
 echo "PASS: distributed sweep fabric is byte-identical to serial"

@@ -27,6 +27,7 @@
 #include "analysis/chains.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -67,6 +68,19 @@ usage()
         "                         (parallel; see also SVRSIM_JOBS)\n"
         "  --jobs J               worker threads for --compare\n",
         static_cast<unsigned long long>(presets::simWindow()));
+}
+
+/** "NN.NN%", or "n/a" when the cache saw no accesses. */
+std::string
+hitRate(std::uint64_t hits, std::uint64_t misses)
+{
+    if (hits + misses == 0)
+        return "n/a";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f%%",
+                  100.0 * static_cast<double>(hits) /
+                      static_cast<double>(hits + misses));
+    return buf;
 }
 
 LoopBoundMode
@@ -125,43 +139,45 @@ try {
         } else if (arg == "--core") {
             core = next();
         } else if (arg == "--n") {
-            n = static_cast<unsigned>(std::stoul(next()));
+            n = parseNumber<unsigned>(next(), "--n");
         } else if (arg == "--window") {
-            config.maxInstructions = std::stoull(next());
+            config.maxInstructions =
+                parseNumber<std::uint64_t>(next(), "--window");
         } else if (arg == "--mshrs") {
-            config.mem.l1d.numMshrs =
-                static_cast<unsigned>(std::stoul(next()));
+            config.mem.l1d.numMshrs = parseNumber<unsigned>(next(), "--mshrs");
         } else if (arg == "--bw") {
-            config.mem.dram.bandwidthGiBps = std::stod(next());
+            config.mem.dram.bandwidthGiBps =
+                parseNumber<double>(next(), "--bw");
         } else if (arg == "--ptws") {
             config.mem.translation.numWalkers =
-                static_cast<unsigned>(std::stoul(next()));
+                parseNumber<unsigned>(next(), "--ptws");
         } else if (arg == "--loop-bound") {
             config.svr.loopBound = parseLoopBound(next());
         } else if (arg == "--no-waiting") {
             config.svr.waitingMode = false;
         } else if (arg == "--svu-width") {
-            config.svr.svuWidth =
-                static_cast<unsigned>(std::stoul(next()));
+            config.svr.svuWidth = parseNumber<unsigned>(next(), "--svu-width");
         } else if (arg == "--srf") {
-            config.svr.numSrfRegs =
-                static_cast<unsigned>(std::stoul(next()));
+            config.svr.numSrfRegs = parseNumber<unsigned>(next(), "--srf");
         } else if (arg == "--dvr-recycling") {
             config.svr.recycle = SrfRecycle::StopWhenFull;
         } else if (arg == "--oracle") {
             oracle = true;
         } else if (arg == "--sample-every") {
-            config.sampling.sampleEvery = std::stoull(next());
+            config.sampling.sampleEvery =
+                parseNumber<std::uint64_t>(next(), "--sample-every");
         } else if (arg == "--sample-window") {
-            config.sampling.sampleWindow = std::stoull(next());
+            config.sampling.sampleWindow =
+                parseNumber<std::uint64_t>(next(), "--sample-window");
         } else if (arg == "--warmup") {
-            config.sampling.warmup = std::stoull(next());
+            config.sampling.warmup =
+                parseNumber<std::uint64_t>(next(), "--warmup");
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--compare") {
             compare = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
+            jobs = parseNumber<unsigned>(next(), "--jobs");
         } else {
             usage();
             fatal("unknown argument '%s'", arg.c_str());
@@ -187,7 +203,7 @@ try {
 
     if (compare) {
         // One workload across the paper's comparison set, sharded
-        // over the experiment engine's thread pool.
+        // over the experiment engine's threads (parallelFor).
         std::vector<SimConfig> configs = {
             presets::inorder(), presets::impCore(), presets::outOfOrder(),
             presets::svrCore(n)};
@@ -281,12 +297,10 @@ try {
     std::printf("  other         %llu\n",
                 static_cast<unsigned long long>(r.core.stackOther));
     std::printf("\nmemory\n");
-    std::printf("  L1D hit rate  %.2f%%\n",
-                100.0 * static_cast<double>(r.l1dHits) /
-                    static_cast<double>(r.l1dHits + r.l1dMisses));
-    std::printf("  L2 hit rate   %.2f%%\n",
-                100.0 * static_cast<double>(r.l2Hits) /
-                    static_cast<double>(r.l2Hits + r.l2Misses + 1));
+    std::printf("  L1D hit rate  %s\n",
+                hitRate(r.l1dHits, r.l1dMisses).c_str());
+    std::printf("  L2 hit rate   %s\n",
+                hitRate(r.l2Hits, r.l2Misses).c_str());
     std::printf("  DRAM lines    %llu (demand %llu, ifetch %llu, "
                 "stride-pf %llu, svr %llu, imp %llu, wb %llu)\n",
                 static_cast<unsigned long long>(r.dramTransfers),

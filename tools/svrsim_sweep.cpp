@@ -8,18 +8,19 @@
  *                [--configs LIST] [--window INSTRS] [--jobs N] [--json]
  *                [--sample-every E] [--sample-window W] [--warmup U]
  *                [--out PATH] [--resume] [--keep-going] [--retries N]
- *                [--workers N] [--coordinator ADDR] [--worker ADDR]
- *                [--shards LIST] [--keep-journal] [--lease-timeout MS]
- *                [--chunk N] [--heartbeat-ms MS] [--hedge-ms MS]
- *                [--reconnect-ms MS] [--journal-fsync]
+ *                [--workers N] [--coordinator ADDR] [--shards LIST]
+ *                [--keep-journal] [--lease-timeout MS] [--chunk N]
+ *                [--heartbeat-ms MS] [--hedge-ms MS] [--journal-fsync]
  *
  * LIST is comma-separated from: ino, imp, ooo, svrN (e.g. svr16).
  * Default: --suite quick --configs ino,imp,ooo,svr16,svr64
  *
- * Cells are sharded across a work-stealing thread pool (--jobs, or
- * the SVRSIM_JOBS environment variable, default: all hardware
- * threads). Output is byte-identical for any job count; progress and
- * the cells/sec summary go to stderr.
+ * Cells run on --jobs threads (or the SVRSIM_JOBS environment
+ * variable, default: all hardware threads), or on fabric workers with
+ * --workers/--coordinator; either way every finished cell is recorded
+ * through the same cell ledger (sim/ledger.hh). Output is byte-
+ * identical for any job or worker count; progress and the cells/sec
+ * summary go to stderr. Malformed numbers are an error (exit 1).
  *
  * Distributed sweeps (the fabric, sim/fabric.hh):
  *   --workers N       run as coordinator and spawn N local worker
@@ -30,9 +31,6 @@
  *   --coordinator A   listen on an explicit endpoint ("unix:PATH" or
  *                     "tcp:HOST:PORT") so external svrsim_worker
  *                     processes can attach; combines with --workers
- *   --worker A        run as a fabric worker attached to coordinator
- *                     endpoint A (--jobs = threads per lease); all
- *                     sweep parameters come from the coordinator
  *   --shards LIST     merge comma-separated journal shard files
  *                     (e.g. journals shipped from another host) as
  *                     already-completed cells before sweeping
@@ -42,16 +40,11 @@
  *                     < leaseTimeout/3 so a busy worker fits several
  *                     heartbeats into one timeout window. Forwarded
  *                     to spawned workers; shipped to external ones
- *                     via WELCOME. In --worker mode, sets this
- *                     worker's own heartbeat.
+ *                     via WELCOME.
  *   --hedge-ms MS     straggler hedging: speculatively re-lease the
  *                     cells of a lease older than MS ms to an idle
  *                     worker (0 = auto leaseTimeout/2, the default;
  *                     negative disables hedging)
- *   --reconnect-ms    (--worker mode) keep retrying a lost
- *                     coordinator connection for MS ms (default
- *                     30000; 0 disables) — rides out coordinator
- *                     restarts and partitions
  *   --chunk N         cells per lease (default: auto)
  *   --keep-journal    keep PATH.journal after a successful sweep
  *   --journal-fsync   fsync every journal record (and the artifact
@@ -76,8 +69,9 @@
  * the journal header with the sampling parameters, so --resume
  * rejects a journal written under different sampling.
  *
- * The SVRSIM_FAULT environment variable injects deterministic faults
- * for testing (see src/common/fault.hh for the grammar).
+ * The SVRSIM_FAULT environment variable injects deterministic cell,
+ * artifact and network faults for testing (see src/common/fault.hh
+ * for the grammar).
  *
  * Examples:
  *   svrsim_sweep --suite full --configs ino,svr16 > results.csv
@@ -87,56 +81,22 @@
  *   svrsim_worker --connect tcp:buildhost:7707 --jobs 16
  */
 
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
-#include "common/fault.hh"
-#include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/experiment.hh"
 #include "sim/fabric.hh"
-#include "sim/journal.hh"
-#include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "workloads/suites.hh"
 
 using namespace svr;
 
 namespace
 {
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        const std::size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
-        std::fclose(f);
-        return true;
-    }
-    return false;
-}
 
 std::string
 dirName(const std::string &path)
@@ -147,29 +107,15 @@ dirName(const std::string &path)
 }
 
 int
-runSweep(int argc, char **argv)
+runSweepTool(int argc, char **argv)
 {
-    std::string suite = "quick";
-    std::string configs_arg = "ino,imp,ooo,svr16,svr64";
-    std::uint64_t window = presets::simWindow();
-    unsigned jobs = 0; // 0 = SVRSIM_JOBS / hardware default
-    bool json = false;
-    std::string out_path;
-    bool resume = false;
-    bool keep_going = false;
-    bool keep_journal = false;
-    unsigned retries = 1;
+    SweepSpec spec;
+    spec.key = {"quick", "ino,imp,ooo,svr16,svr64", presets::simWindow(),
+                MatrixOptions{}.baseSeed, {}};
     SamplingParams sampling;
-    unsigned workers = 0;
-    std::string coordinator_listen;
-    std::string worker_connect;
-    std::string shards_arg;
-    int lease_timeout_ms = 60000;
-    int heartbeat_ms = 1000;
-    int hedge_ms = 0;
-    int reconnect_ms = 30000;
-    unsigned chunk = 0;
-    bool journal_fsync = false;
+    SweepOutput out;
+    unsigned jobs = 0; // 0 = SVRSIM_JOBS / hardware default
+    FabricOptions fopts;
 
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
@@ -178,230 +124,70 @@ runSweep(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        auto number = [&](auto &field) {
+            field = parseNumber<std::remove_reference_t<decltype(field)>>(
+                next(), arg.c_str());
+        };
         if (arg == "--suite") {
-            suite = next();
+            spec.key.suite = next();
         } else if (arg == "--configs") {
-            configs_arg = next();
+            spec.key.configs = next();
         } else if (arg == "--window") {
-            window = std::stoull(next());
+            number(spec.key.window);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
+            number(jobs);
         } else if (arg == "--sample-every") {
-            sampling.sampleEvery = std::stoull(next());
+            number(sampling.sampleEvery);
         } else if (arg == "--sample-window") {
-            sampling.sampleWindow = std::stoull(next());
+            number(sampling.sampleWindow);
         } else if (arg == "--warmup") {
-            sampling.warmup = std::stoull(next());
+            number(sampling.warmup);
         } else if (arg == "--json") {
-            json = true;
+            out.json = true;
         } else if (arg == "--out") {
-            out_path = next();
+            out.path = next();
         } else if (arg == "--resume") {
-            resume = true;
+            out.resume = true;
         } else if (arg == "--keep-going") {
-            keep_going = true;
+            spec.keepGoing = true;
         } else if (arg == "--keep-journal") {
-            keep_journal = true;
+            out.keepJournal = true;
         } else if (arg == "--retries") {
-            retries = static_cast<unsigned>(std::stoul(next()));
-            if (retries == 0)
+            number(spec.retries);
+            if (spec.retries == 0)
                 fatal("--retries must be >= 1");
         } else if (arg == "--workers") {
-            workers = static_cast<unsigned>(std::stoul(next()));
+            number(fopts.spawnWorkers);
         } else if (arg == "--coordinator") {
-            coordinator_listen = next();
-        } else if (arg == "--worker") {
-            worker_connect = next();
+            fopts.listen = next();
         } else if (arg == "--shards") {
-            shards_arg = next();
+            out.shards = splitList(next(), ',');
         } else if (arg == "--lease-timeout") {
-            lease_timeout_ms = std::stoi(next());
-            if (lease_timeout_ms <= 0)
-                fatal("--lease-timeout must be > 0 ms");
+            number(fopts.leaseTimeoutMs);
         } else if (arg == "--heartbeat-ms") {
-            heartbeat_ms = std::stoi(next());
-            if (heartbeat_ms <= 0)
-                fatal("--heartbeat-ms must be > 0");
+            // runFabricSweep() rejects a heartbeat that is not
+            // positive and below leaseTimeout/3.
+            number(fopts.heartbeatMs);
         } else if (arg == "--hedge-ms") {
-            hedge_ms = std::stoi(next());
-        } else if (arg == "--reconnect-ms") {
-            reconnect_ms = std::stoi(next());
-            if (reconnect_ms < 0)
-                fatal("--reconnect-ms must be >= 0");
+            number(fopts.hedgeMs);
         } else if (arg == "--journal-fsync") {
-            journal_fsync = true;
+            out.fsync = true;
         } else if (arg == "--chunk") {
-            chunk = static_cast<unsigned>(std::stoul(next()));
+            number(fopts.chunk);
         } else {
             fatal("unknown argument '%s' (see header comment)",
                   arg.c_str());
         }
     }
+    spec.setSampling(sampling);
+    const bool fabric = fopts.spawnWorkers > 0 || !fopts.listen.empty();
+    fopts.scratchDir = dirName(out.path);
+    fopts.workerJobs = jobs > 0 ? jobs : 1;
+    fopts.maxCellAttempts = spec.retries > 3 ? spec.retries : 3;
 
-    if (!worker_connect.empty()) {
-        // Worker mode: everything about the sweep arrives over the
-        // wire in WELCOME; local sweep flags would be ignored lies.
-        if (workers > 0 || !coordinator_listen.empty())
-            fatal("--worker excludes --workers/--coordinator");
-        WorkerOptions wopts;
-        wopts.connect = worker_connect;
-        wopts.jobs = jobs > 0 ? jobs : 1;
-        wopts.heartbeatMs = heartbeat_ms;
-        wopts.reconnectMs = reconnect_ms;
-        return runFabricWorker(wopts);
-    }
-
-    const bool fabric = workers > 0 || !coordinator_listen.empty();
-    if (resume && out_path.empty())
-        fatal("--resume requires --out PATH (the journal lives at "
-              "PATH.journal)");
-    if (fabric && heartbeat_ms * 3 >= lease_timeout_ms)
-        fatal("--heartbeat-ms %d is too slow for --lease-timeout %d: "
-              "a busy worker must fit several heartbeats into one "
-              "timeout window (need heartbeat < leaseTimeout/3)",
-              heartbeat_ms, lease_timeout_ms);
-
-    std::vector<WorkloadSpec> workloads = suiteByName(suite);
-
-    std::vector<SimConfig> configs;
-    for (const std::string &name : split(configs_arg, ',')) {
-        if (name.empty())
-            continue;
-        SimConfig c = presets::byName(name);
-        c.maxInstructions = window;
-        c.sampling = sampling;
-        configs.push_back(c);
-    }
-
-    const FaultPlan faults = FaultPlan::fromEnv();
-
-    MatrixOptions opts;
-    opts.jobs = jobs;
-    opts.keepGoing = keep_going;
-    opts.maxAttempts = retries;
-    opts.faultPlan = faults;
-
-    SweepKey key{suite, configs_arg, window, opts.baseSeed, {}};
-    if (sampling.enabled()) {
-        key.sampling = std::to_string(sampling.sampleEvery) + "/" +
-                       std::to_string(sampling.sampleWindow) + "/" +
-                       std::to_string(sampling.warmup);
-    }
-    const std::string journal_path = out_path + ".journal";
-    std::unique_ptr<SweepJournal> journal;
-    JournalCells completed;
-    std::set<std::pair<std::string, std::string>> in_primary;
-
-    if (!out_path.empty() && resume && fileExists(journal_path)) {
-        completed = loadJournal(journal_path, key);
-        for (const auto &kv : completed)
-            in_primary.insert(kv.first);
-        inform("resume: %zu cell(s) already journaled in '%s'",
-               completed.size(), journal_path.c_str());
-    } else if (resume) {
-        inform("resume: no journal at '%s'; starting fresh",
-               journal_path.c_str());
-    }
-
-    if (!shards_arg.empty()) {
-        std::vector<std::string> shard_paths;
-        for (const std::string &p : split(shards_arg, ','))
-            if (!p.empty())
-                shard_paths.push_back(p);
-        std::size_t dups = 0;
-        JournalCells shard_cells =
-            loadJournalShards(shard_paths, key, &dups);
-        std::size_t added = 0;
-        for (auto &kv : shard_cells) {
-            if (completed.emplace(kv.first, std::move(kv.second)).second)
-                added++;
-        }
-        inform("shards: %zu cell(s) restored from %zu shard(s) "
-               "(%zu duplicate record(s))",
-               added, shard_paths.size(), dups);
-    }
-
-    if (!out_path.empty()) {
-        journal = std::make_unique<SweepJournal>(journal_path, key,
-                                                 journal_fsync);
-        // Cells restored from shards are not in the primary journal
-        // yet; append them so PATH.journal alone can resume the sweep.
-        for (const auto &kv : completed) {
-            if (in_primary.find(kv.first) == in_primary.end())
-                journal->append(kv.second);
-        }
-    }
-
-    MatrixTiming timing;
-    std::vector<SimResult> results;
-
-    if (fabric) {
-        SweepSpec spec;
-        spec.key = key;
-        spec.keepGoing = keep_going;
-        spec.retries = retries;
-
-        FabricOptions fopts;
-        fopts.listen = coordinator_listen;
-        fopts.scratchDir = dirName(out_path);
-        fopts.spawnWorkers = workers;
-        fopts.workerJobs = jobs > 0 ? jobs : 1;
-        fopts.chunk = chunk;
-        fopts.leaseTimeoutMs = lease_timeout_ms;
-        fopts.heartbeatMs = heartbeat_ms;
-        fopts.hedgeMs = hedge_ms;
-        fopts.maxCellAttempts = retries > 3 ? retries : 3;
-
-        results = runFabricSweep(workloads, configs, spec, fopts,
-                                 completed, journal.get(), &timing);
-    } else {
-        if (!completed.empty()) {
-            opts.restoreCell = [&completed](const std::string &w,
-                                            const std::string &c,
-                                            SimResult &out) {
-                const auto it = completed.find({w, c});
-                if (it == completed.end())
-                    return false;
-                out = it->second;
-                return true;
-            };
-        }
-        if (journal) {
-            opts.onCellDone = [&journal, &faults](const SimResult &r) {
-                journal->append(r);
-                if (faults.shouldKill(r.workload, r.config)) {
-                    // Crash-safety test hook: die without any cleanup,
-                    // exactly like an external SIGKILL, right after
-                    // this cell hit the journal.
-                    warn("injected kill after cell %s/%s",
-                         r.workload.c_str(), r.config.c_str());
-                    std::raise(SIGKILL);
-                }
-            };
-        }
-        const auto matrix = runMatrix(workloads, configs, opts, &timing);
-        results = flattenMatrix(matrix);
-    }
-
-    std::string content;
-    if (json) {
-        content = toJson(results);
-    } else {
-        content = csvHeader(sampling.enabled()) + "\n";
-        for (const auto &r : results)
-            content += csvRow(r, sampling.enabled()) + "\n";
-    }
-
-    if (!out_path.empty()) {
-        writeFileAtomic(out_path, content, faults, journal_fsync);
-        journal.reset();
-        // The artifact is durable; the journal is now redundant.
-        if (!keep_journal)
-            std::remove(journal_path.c_str());
-    } else {
-        std::fputs(content.c_str(), stdout);
-    }
-    return timing.failedCells > 0 ? 3 : 0;
+    const std::size_t failed =
+        runSweep(spec, out, jobs, fabric ? &fopts : nullptr);
+    return failed > 0 ? 3 : 0;
 }
 
 } // namespace
@@ -410,7 +196,7 @@ int
 main(int argc, char **argv)
 {
     try {
-        return runSweep(argc, argv);
+        return runSweepTool(argc, argv);
     } catch (const SimError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <string>
 
+#include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/executor.hh"
 #include "isa/disassembler.hh"
 #include "mem/memory_system.hh"
@@ -43,7 +45,7 @@ eventName(SvrEventKind kind)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string workload = "PR_KR";
     std::uint64_t count = 64;
     std::uint64_t skip = 0;
@@ -59,9 +61,9 @@ main(int argc, char **argv)
         if (arg == "--workload")
             workload = next();
         else if (arg == "--count")
-            count = std::stoull(next());
+            count = parseNumber<std::uint64_t>(next(), "--count");
         else if (arg == "--skip")
-            skip = std::stoull(next());
+            skip = parseNumber<std::uint64_t>(next(), "--skip");
         else if (arg == "--svr")
             with_svr = true;
         else
@@ -120,4 +122,7 @@ main(int argc, char **argv)
         }
     }
     return 0;
+} catch (const SimError &e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

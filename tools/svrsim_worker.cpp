@@ -25,8 +25,8 @@
  *   and network partitions.
  *
  * Exit codes: 0 = sweep finished (FIN), 1 = fatal simulation error
- * (also reported to the coordinator), 2 = lost the coordinator for
- * longer than the reconnect window.
+ * (also reported to the coordinator) or a malformed flag, 2 = lost
+ * the coordinator for longer than the reconnect window.
  */
 
 #include <cstdio>
@@ -34,6 +34,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/fabric.hh"
 
 using namespace svr;
@@ -53,15 +54,15 @@ main(int argc, char **argv)
             if (arg == "--connect") {
                 opts.connect = next();
             } else if (arg == "--jobs") {
-                opts.jobs = static_cast<unsigned>(std::stoul(next()));
+                opts.jobs = parseNumber<unsigned>(next(), "--jobs");
                 if (opts.jobs == 0)
                     opts.jobs = 1;
             } else if (arg == "--heartbeat" || arg == "--heartbeat-ms") {
-                opts.heartbeatMs = std::stoi(next());
+                opts.heartbeatMs = parseNumber<int>(next(), arg.c_str());
                 if (opts.heartbeatMs <= 0)
                     fatal("--heartbeat-ms must be > 0");
             } else if (arg == "--reconnect-ms") {
-                opts.reconnectMs = std::stoi(next());
+                opts.reconnectMs = parseNumber<int>(next(), arg.c_str());
                 if (opts.reconnectMs < 0)
                     fatal("--reconnect-ms must be >= 0");
             } else {
