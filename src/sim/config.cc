@@ -105,12 +105,16 @@ namespace presets
 std::uint64_t
 simWindow()
 {
-    if (const char *env = std::getenv("SVR_WINDOW")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
+    const char *env = std::getenv("SVR_WINDOW");
+    if (!env)
+        return 400000;
+    const auto v = parseNumber<std::uint64_t>(env, "SVR_WINDOW");
+    if (v == 0) {
+        throw simErrorf(ErrCode::ConfigInvalid, {},
+                        "SVR_WINDOW: '0' is not a valid window (want a "
+                        "positive instruction count)");
     }
-    return 400000;
+    return v;
 }
 
 SimConfig

@@ -108,7 +108,9 @@ SimConfig byName(const std::string &name);
 
 /**
  * Simulation window length, overridable with the SVR_WINDOW
- * environment variable (instructions per run; default 400000).
+ * environment variable (instructions per run; default 400000). A set
+ * SVR_WINDOW that is not a positive integer throws
+ * SimError(ConfigInvalid) naming it.
  */
 std::uint64_t simWindow();
 

@@ -41,6 +41,7 @@ files=(
     src/analysis/chain_xcheck.cc
     tools/svrsim_lint.cpp
     tools/bench_report.cpp
+    tools/svrsim_figures.cpp
 )
 
 patterns=(
