@@ -236,8 +236,9 @@ simulateLockstep(const SimConfig &config, const WorkloadSpec &spec)
              spec.name.c_str());
         return simulate(config, spec);
     }
-    const WorkloadInstance w = spec.make();
-    ArchCheck check(spec.make());
+    const WorkloadImage image(spec.make());
+    const WorkloadInstance w = image.fork();
+    ArchCheck check(image.fork());
     const SimResult r = simulate(config, w, check.hooks());
     check.finish();
     return r;

@@ -9,10 +9,42 @@ namespace svr
 
 FunctionalMemory::FunctionalMemory()
 {
+    flushCaches();
+}
+
+FunctionalMemory::FunctionalMemory(std::shared_ptr<const Image> image)
+    : FunctionalMemory()
+{
+    const PageTable &src = image->table;
+    table.dirs.reserve(src.dirs.size());
+    // Hash-map order is harmless: it only fills another hash map.
+    for (const auto &[dir_num, dir] : src.dirs) { // det-lint: allow
+        auto copy = std::make_unique<Dir>();
+        copy->page = dir->page;
+        table.dirs.emplace(dir_num, std::move(copy));
+    }
+    table.numPages = src.numPages;
+    table.allocCursor = src.allocCursor;
+    table.base = std::move(image);
+}
+
+FunctionalMemory::Image::Image(FunctionalMemory &&built)
+    : table(std::move(built.table))
+{
+    built.clear();
+}
+
+void
+FunctionalMemory::flushCaches()
+{
     // ~0 can never equal a real page number (it would need an address
     // above 2^64), so empty slots can never produce a false hit.
     tcTag.fill(~static_cast<Addr>(0));
+    tcData.fill(nullptr);
+    wtcTag.fill(~static_cast<Addr>(0));
+    wtcData.fill(nullptr);
     dcTag.fill(~static_cast<Addr>(0));
+    dcDir.fill(nullptr);
 }
 
 void
@@ -22,34 +54,38 @@ FunctionalMemory::badSize(const char *what, unsigned bytes)
 }
 
 std::uint8_t *
-FunctionalMemory::translateOrCreate(Addr addr)
+FunctionalMemory::writablePage(Addr page_num)
 {
-    const Addr page_num = addr >> pageShift;
-    const std::size_t slot = page_num & (tcEntries - 1);
-    if (tcTag[slot] == page_num)
-        return tcData[slot];
     const Addr dir_num = page_num >> dirBits;
-    const std::size_t dslot = dir_num & (dcEntries - 1);
-    Dir *dir;
-    if (dcTag[dslot] == dir_num) {
-        dir = dcDir[dslot];
-    } else {
-        auto &entry = dirs[dir_num];
-        if (!entry)
-            entry = std::make_unique<Dir>();
+    Dir *dir = findDir(dir_num);
+    if (!dir) {
+        auto &entry = table.dirs[dir_num];
+        entry = std::make_unique<Dir>();
         dir = entry.get();
+        const std::size_t dslot = dir_num & (dcEntries - 1);
         dcTag[dslot] = dir_num;
         dcDir[dslot] = dir;
     }
-    auto &page = (*dir)[page_num & (dirFanout - 1)];
-    if (!page) {
-        page = std::make_unique<Page>();
-        page->fill(0);
-        numPages++;
+    const std::size_t i = page_num & (dirFanout - 1);
+    std::unique_ptr<Page> &own = dir->own[i];
+    if (!own) {
+        if (const Page *shared = dir->page[i]) {
+            own = std::make_unique<Page>(*shared); // copy on write
+        } else {
+            own = std::make_unique<Page>();
+            own->fill(0);
+            table.numPages++;
+        }
+        dir->page[i] = own.get();
     }
+    // Both caches now name the owned page; this also repoints a read
+    // entry that still named the image's copy.
+    const std::size_t slot = page_num & (tcEntries - 1);
     tcTag[slot] = page_num;
-    tcData[slot] = page->data();
-    return tcData[slot];
+    tcData[slot] = own->data();
+    wtcTag[slot] = page_num;
+    wtcData[slot] = own->data();
+    return own->data();
 }
 
 std::uint64_t
@@ -73,7 +109,7 @@ FunctionalMemory::writeSlow(Addr addr, std::uint64_t value, unsigned bytes)
     checkSize("write", bytes);
     for (unsigned i = 0; i < bytes; i++) {
         const Addr a = addr + i;
-        std::uint8_t *page = translateOrCreate(pageAlign(a));
+        std::uint8_t *page = writablePage(a >> pageShift);
         page[a & (pageBytes - 1)] =
             static_cast<std::uint8_t>(value >> (8 * i));
     }
@@ -95,10 +131,11 @@ std::vector<FunctionalMemory::PageRef>
 FunctionalMemory::snapshotPages() const
 {
     std::vector<PageRef> pages;
-    pages.reserve(numPages);
-    for (const auto &[dir_num, dir] : dirs) {
+    pages.reserve(table.numPages);
+    // Hash-map order is harmless: the pages are sorted below.
+    for (const auto &[dir_num, dir] : table.dirs) { // det-lint: allow
         for (std::size_t i = 0; i < dirFanout; i++) {
-            if (const Page *page = (*dir)[i].get()) {
+            if (const Page *page = dir->page[i]) {
                 pages.push_back(
                     {(dir_num << dirBits) | static_cast<Addr>(i),
                      page->data()});
@@ -115,20 +152,14 @@ FunctionalMemory::snapshotPages() const
 void
 FunctionalMemory::clear()
 {
-    dirs.clear();
-    numPages = 0;
-    allocCursor = dataBase;
-    tcTag.fill(~static_cast<Addr>(0));
-    tcData.fill(nullptr);
-    dcTag.fill(~static_cast<Addr>(0));
-    dcDir.fill(nullptr);
+    table = PageTable{};
+    flushCaches();
 }
 
 void
 FunctionalMemory::installPage(Addr page_num, const std::uint8_t *data)
 {
-    std::uint8_t *dst = translateOrCreate(page_num << pageShift);
-    std::memcpy(dst, data, pageBytes);
+    std::memcpy(writablePage(page_num), data, pageBytes);
 }
 
 void
@@ -140,7 +171,7 @@ FunctionalMemory::setAllocTop(Addr top)
               static_cast<unsigned long long>(top),
               static_cast<unsigned long long>(dataBase));
     }
-    allocCursor = top;
+    table.allocCursor = top;
 }
 
 Addr
@@ -149,9 +180,10 @@ FunctionalMemory::alloc(std::uint64_t bytes, std::uint64_t align)
     if (align == 0 || (align & (align - 1)) != 0)
         fatal("FunctionalMemory::alloc: alignment %llu not a power of two",
               static_cast<unsigned long long>(align));
-    allocCursor = (allocCursor + align - 1) & ~(align - 1);
-    const Addr base = allocCursor;
-    allocCursor += bytes;
+    Addr &cursor = table.allocCursor;
+    cursor = (cursor + align - 1) & ~(align - 1);
+    const Addr base = cursor;
+    cursor += bytes;
     return base;
 }
 

@@ -8,15 +8,22 @@
  *
  * Storage is a two-level page table — a directory level indexed by
  * address bits above the page offset, hashed only once per 2 MiB
- * region — plus a small direct-mapped page-translation cache, so the
+ * region — plus small direct-mapped page-translation caches, so the
  * common case (accesses cycling over a few hot pages) costs one
  * compare and one memcpy instead of a hash lookup per byte.
  * Page-straddling accesses take the byte-by-byte slow path. Reads
  * never materialize pages; unmapped memory reads as zero.
  *
+ * A built memory can be frozen into an immutable Image
+ * (std::shared_ptr<const FunctionalMemory::Image>) that any number of
+ * forks on any threads share: a fork starts with every page a
+ * read-only reference to an image page and copies a page (4 KiB) into
+ * storage it owns on the first write to it. The image has no caches
+ * and nothing writes to it; the forks themselves stay private.
+ *
  * The translation caches make read() logically-const-but-caching; an
  * instance must not be shared between concurrently simulating cells
- * (each WorkloadInstance owns its own, see sim/experiment.hh).
+ * (each cell simulates its own fork, see sim/experiment.hh).
  */
 
 #ifndef SVR_MEM_FUNCTIONAL_MEMORY_HH
@@ -42,7 +49,15 @@ namespace svr
 class FunctionalMemory
 {
   public:
+    class Image;
+
     FunctionalMemory();
+
+    /**
+     * A copy-on-write fork of @p image: the same pages, allocator
+     * cursor and page count, with no page copied until it is written.
+     */
+    explicit FunctionalMemory(std::shared_ptr<const Image> image);
 
     /** Read @p bytes (1/2/4/8) at @p addr, zero-extended. */
     std::uint64_t
@@ -62,10 +77,10 @@ class FunctionalMemory
     }
 
     /**
-     * Write the low @p bytes of @p value at @p addr. The
-     * translation-cache hit is checked inline (as on the read side):
-     * without it every write paid an out-of-line translateOrCreate()
-     * call, making write64 slower than a full functional step.
+     * Write the low @p bytes of @p value at @p addr. A hit in the
+     * write-side translation cache, which holds only pages this memory
+     * owns, costs one tag compare; everything else (a new page, the
+     * first write to an image page) goes out of line to writablePage().
      */
     void
     write(Addr addr, std::uint64_t value, unsigned bytes)
@@ -73,15 +88,11 @@ class FunctionalMemory
         const Addr off = addr & (pageBytes - 1);
         if (littleEndianHost && off + bytes <= pageBytes) [[likely]] {
             checkSize("write", bytes);
-            // Writes to already-materialized pages ride the same
-            // inline cache/walk as reads (pages is non-const state;
-            // translate() only caches existing pages, so the pointer
-            // is writable storage). Only a genuinely absent page pays
-            // the out-of-line materializing walk.
-            std::uint8_t *page =
-                const_cast<std::uint8_t *>(translate(addr));
-            if (!page) [[unlikely]]
-                page = translateOrCreate(addr);
+            const Addr page_num = addr >> pageShift;
+            const std::size_t slot = page_num & (tcEntries - 1);
+            std::uint8_t *page = wtcTag[slot] == page_num
+                                     ? wtcData[slot]
+                                     : writablePage(page_num);
             std::memcpy(page + off, &value, bytes);
             return;
         }
@@ -104,14 +115,26 @@ class FunctionalMemory
 
     /**
      * Number of distinct pages materialized by writes (for tests and
-     * reports). Reads of unmapped memory do not count.
+     * reports), a fork's image pages included. Reads of unmapped
+     * memory do not count.
      */
-    std::size_t pagesTouched() const { return numPages; }
+    std::size_t pagesTouched() const { return table.numPages; }
 
     /** Total bytes handed out by alloc(). */
-    std::uint64_t bytesAllocated() const { return allocCursor - dataBase; }
+    std::uint64_t
+    bytesAllocated() const
+    {
+        return table.allocCursor - dataBase;
+    }
 
     // ---- Checkpointing (sim/checkpoint.hh) ----------------------------
+
+    /** Base of the data segment: the freshly-constructed alloc cursor. */
+    static constexpr Addr dataBase = 0x10000000;
+    /** log2(pageBytes): page offset width. */
+    static constexpr unsigned pageShift = 12;
+    /** Page numbers are below this (addr >> pageShift of a 64-bit Addr). */
+    static constexpr Addr pageNumLimit = Addr{1} << (64 - pageShift);
 
     /** One materialized page: number (addr >> 12) + its 4 KiB image. */
     struct PageRef
@@ -128,41 +151,58 @@ class FunctionalMemory
     std::vector<PageRef> snapshotPages() const;
 
     /**
-     * Drop every page and translation-cache entry and reset the bump
-     * allocator, returning to the freshly-constructed state.
+     * Drop every page (and a fork's image) and translation-cache entry
+     * and reset the bump allocator, returning to the
+     * freshly-constructed state.
      */
     void clear();
 
     /**
-     * Materialize page @p page_num and overwrite it with @p data
-     * (pageBytes bytes). Restore path: callers clear() first, then
-     * install each snapshot page.
+     * Materialize page @p page_num (< pageNumLimit) and overwrite it
+     * with @p data (pageBytes bytes). Restore path: callers clear()
+     * first, then install each snapshot page.
      */
     void installPage(Addr page_num, const std::uint8_t *data);
 
     /** Raw bump-allocator cursor (absolute address), for checkpoints. */
-    Addr allocTop() const { return allocCursor; }
+    Addr allocTop() const { return table.allocCursor; }
 
     /**
-     * Restore the bump-allocator cursor. @p top must be >= the data
-     * base (the freshly-constructed cursor); panics otherwise.
+     * Restore the bump-allocator cursor. @p top must be >= dataBase
+     * (the freshly-constructed cursor); panics otherwise.
      */
     void setAllocTop(Addr top);
 
   private:
-    static constexpr Addr dataBase = 0x10000000;
     static constexpr bool littleEndianHost =
         std::endian::native == std::endian::little;
 
-    /** log2(pageBytes): page offset width. */
-    static constexpr unsigned pageShift = 12;
     static_assert(pageBytes == 1u << pageShift);
     /** Directory fanout: 512 pages = 2 MiB per directory. */
     static constexpr unsigned dirBits = 9;
     static constexpr std::size_t dirFanout = std::size_t{1} << dirBits;
 
     using Page = std::array<std::uint8_t, pageBytes>;
-    using Dir = std::array<std::unique_ptr<Page>, dirFanout>;
+
+    /** The pages of one 2 MiB region. */
+    struct Dir
+    {
+        /** Every mapped page, owned or an image's (the read side). */
+        std::array<const Page *, dirFanout> page{};
+        /** The pages this table owns; page[i] points at own[i] if set. */
+        std::array<std::unique_ptr<Page>, dirFanout> own;
+    };
+
+    /** Everything but the caches: what an Image freezes. */
+    struct PageTable
+    {
+        /** Root level, keyed by addr >> (pageShift + dirBits). */
+        std::unordered_map<Addr, std::unique_ptr<Dir>> dirs;
+        std::size_t numPages = 0;
+        Addr allocCursor = dataBase;
+        /** Keeps alive the image pages this table maps but does not own. */
+        std::shared_ptr<const Image> base;
+    };
 
     /** Page data for @p addr, or nullptr; never materializes. */
     const std::uint8_t *
@@ -175,8 +215,26 @@ class FunctionalMemory
         return translateWalk(addr);
     }
 
-    /** Page data for @p addr, materializing the page if needed. */
-    std::uint8_t *translateOrCreate(Addr addr);
+    /**
+     * Owned page @p page_num, materializing it (zeroed) or copying it
+     * out of the image first if needed; fills both translation caches.
+     */
+    std::uint8_t *writablePage(Addr page_num);
+
+    /** Directory @p dir_num through the dir cache, or nullptr. */
+    Dir *
+    findDir(Addr dir_num) const
+    {
+        const std::size_t dslot = dir_num & (dcEntries - 1);
+        if (dcTag[dslot] == dir_num)
+            return dcDir[dslot];
+        const auto it = table.dirs.find(dir_num);
+        if (it == table.dirs.end())
+            return nullptr;
+        dcTag[dslot] = dir_num;
+        dcDir[dslot] = it->second.get();
+        return dcDir[dslot];
+    }
 
     /**
      * Two-level walk behind the translation cache (read side). Inline:
@@ -187,28 +245,15 @@ class FunctionalMemory
     translateWalk(Addr addr) const
     {
         const Addr page_num = addr >> pageShift;
-        const Addr dir_num = page_num >> dirBits;
-        const std::size_t dslot = dir_num & (dcEntries - 1);
-        const Dir *dir;
-        if (dcTag[dslot] == dir_num) {
-            dir = dcDir[dslot];
-        } else {
-            auto it = dirs.find(dir_num);
-            if (it == dirs.end())
-                return nullptr;
-            dir = it->second.get();
-            dcTag[dslot] = dir_num;
-            // The cache hands out mutable page pointers for the write
-            // path; the structure itself is only mutated via non-const
-            // members, so shedding const here is safe.
-            dcDir[dslot] = const_cast<Dir *>(dir);
-        }
-        const Page *page = (*dir)[page_num & (dirFanout - 1)].get();
+        const Dir *dir = findDir(page_num >> dirBits);
+        if (!dir)
+            return nullptr;
+        const Page *page = dir->page[page_num & (dirFanout - 1)];
         if (!page)
             return nullptr;
         const std::size_t slot = page_num & (tcEntries - 1);
         tcTag[slot] = page_num;
-        tcData[slot] = const_cast<std::uint8_t *>(page->data());
+        tcData[slot] = page->data();
         return page->data();
     }
 
@@ -227,27 +272,48 @@ class FunctionalMemory
 
     [[noreturn]] static void badSize(const char *what, unsigned bytes);
 
-    /** Root level, keyed by addr >> (pageShift + dirBits). */
-    std::unordered_map<Addr, std::unique_ptr<Dir>> dirs;
-    std::size_t numPages = 0;
-    Addr allocCursor = dataBase;
+    /** Empty every translation cache. */
+    void flushCaches();
 
-    // Translation caches (page pointers are stable: pages are never
-    // freed before the FunctionalMemory itself, so entries are never
-    // invalidated). Both levels are direct-mapped with several entries
+    PageTable table;
+
+    // Translation caches. Page and dir pointers stay valid until
+    // clear(): pages are never freed before the FunctionalMemory
+    // itself, and a copy-on-write copy repoints the read-cache entry
+    // of its page. All levels are direct-mapped with several entries
     // rather than a single register: workloads typically alternate
     // between a few data structures (e.g. index array and gather
     // tables), which thrashes a one-entry cache. The dir cache in
     // particular covers all of a workload's hot 2 MiB regions at once,
     // keeping the root hash map off the per-access path entirely —
     // sized for paper-scale footprints (64 x 2 MiB = 128 MiB), where
-    // the checkpoint fast-forward path lives or dies by it.
+    // the checkpoint fast-forward path lives or dies by it. The write
+    // cache holds only owned pages, so a write hit never copies.
     static constexpr std::size_t tcEntries = 64;
     mutable std::array<Addr, tcEntries> tcTag;
-    mutable std::array<std::uint8_t *, tcEntries> tcData{};
+    mutable std::array<const std::uint8_t *, tcEntries> tcData{};
+    std::array<Addr, tcEntries> wtcTag;
+    std::array<std::uint8_t *, tcEntries> wtcData{};
     static constexpr std::size_t dcEntries = 64;
     mutable std::array<Addr, dcEntries> dcTag;
     mutable std::array<Dir *, dcEntries> dcDir{};
+};
+
+/**
+ * An immutable page image, frozen from a built memory. Held as
+ * std::shared_ptr<const Image> and forked with
+ * FunctionalMemory(std::shared_ptr<const Image>); it has no caches, so
+ * forks on any number of threads may share it.
+ */
+class FunctionalMemory::Image
+{
+  public:
+    /** Freeze @p built: its pages move here (no copy); it is left clear. */
+    explicit Image(FunctionalMemory &&built);
+
+  private:
+    friend class FunctionalMemory;
+    PageTable table;
 };
 
 } // namespace svr

@@ -289,6 +289,10 @@ deserializeCheckpoint(std::string_view bytes)
     ck.arch.halted = r.flag();
     ck.arch.seq = r.u64();
     ck.allocTop = r.u64();
+    // restoreCheckpoint() could not install a cursor below the data
+    // segment; reject it here as corruption.
+    if (ck.allocTop < FunctionalMemory::dataBase)
+        corrupt("allocation cursor below the data base");
 
     const std::uint64_t num_pages = r.u64();
     // Each page needs pageBytes + 8 bytes of input: a count that can't
@@ -299,6 +303,10 @@ deserializeCheckpoint(std::string_view bytes)
     Addr prev_page = 0;
     for (std::size_t i = 0; i < ck.pages.size(); i++) {
         ck.pages[i].pageNum = r.u64();
+        // A larger number has no 64-bit address: installing it would
+        // wrap onto a low page.
+        if (ck.pages[i].pageNum >= FunctionalMemory::pageNumLimit)
+            corrupt("page number beyond the address space");
         if (i > 0 && ck.pages[i].pageNum <= prev_page)
             corrupt("page numbers not strictly increasing");
         prev_page = ck.pages[i].pageNum;

@@ -1,8 +1,8 @@
 #include "sim/experiment.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -13,16 +13,47 @@
 namespace svr
 {
 
-SimResult
-runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
-                const MatrixOptions &opts)
+CellRows::CellRows(const std::vector<WorkloadSpec> &w,
+                   const std::vector<SimConfig> &c, const MatrixOptions &o,
+                   const std::vector<std::size_t> &cells)
+    : workloads(w), configs(c), opts(o), rows(w.size())
 {
+    for (const std::size_t idx : cells)
+        rows[idx / configs.size()].cellsLeft++;
+}
+
+WorkloadInstance
+CellRows::fork(std::size_t wi)
+{
+    Row &row = rows[wi];
+    std::lock_guard<std::mutex> lock(row.mtx);
+    if (!row.image)
+        row.image.emplace(workloads[wi].make());
+    return row.image->fork();
+}
+
+bool
+CellRows::finish(std::size_t idx)
+{
+    Row &row = rows[idx / configs.size()];
+    std::lock_guard<std::mutex> lock(row.mtx);
+    if (--row.cellsLeft > 0)
+        return false;
+    row.image.reset();
+    return true;
+}
+
+SimResult
+CellRows::run(std::size_t idx)
+{
+    const WorkloadSpec &spec = workloads[idx / configs.size()];
+    const SimConfig &config = configs[idx % configs.size()];
     for (unsigned attempt = 1;; attempt++) {
         try {
             WorkloadInstance w;
             {
                 ScopedErrorCapture scope(ErrCode::WorkloadBuild);
-                w = spec.make();
+                w = fork(idx / configs.size());
             }
             ScopedErrorCapture scope(ErrCode::ConfigInvalid);
             if (opts.faultPlan.shouldThrow(spec.name, config.label,
@@ -62,28 +93,24 @@ runMatrix(const std::vector<WorkloadSpec> &workloads,
     CellLedger ledger(workloads, configs, opts.restored, opts.journal,
                       opts.faultPlan, opts.baseSeed,
                       CellLedger::Engine::Local);
-    const std::size_t num_configs = configs.size();
-    std::vector<std::atomic<std::size_t>> cells_left(workloads.size());
-    for (auto &left : cells_left)
-        left.store(num_configs, std::memory_order_relaxed);
+    std::vector<std::size_t> all(ledger.numCells());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    CellRows rows(workloads, configs, opts, all);
 
     const unsigned jobs = resolveJobs(opts.jobs);
     const auto t_start = Clock::now();
     parallelFor(ledger.numCells(), jobs, [&](std::size_t idx) {
-        const std::size_t wi = idx / num_configs;
         if (!ledger.done(idx)) {
             const auto c_start = Clock::now();
-            SimResult res =
-                runIsolatedCell(workloads[wi], configs[idx % num_configs],
-                                opts);
+            SimResult res = rows.run(idx);
             const std::chrono::duration<double, std::milli> c_elapsed =
                 Clock::now() - c_start;
             ledger.record(idx, std::move(res), c_elapsed.count());
         }
-        if (cells_left[wi].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            opts.progress) {
-            inform("done: %-12s (%zu configs)", workloads[wi].name.c_str(),
-                   num_configs);
+        if (rows.finish(idx) && opts.progress) {
+            inform("done: %-12s (%zu configs)",
+                   workloads[idx / configs.size()].name.c_str(),
+                   configs.size());
         }
     });
     const std::chrono::duration<double> elapsed = Clock::now() - t_start;

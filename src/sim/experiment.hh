@@ -6,8 +6,9 @@
  *
  * Determinism contract: runMatrix() output (results, their order, and
  * every per-cell metric) is bit-identical for any job count. Each
- * cell is an independent simulation with its own seed-derived RNG
- * stream (Rng::cellSeed(base, workload, config)), and results are
+ * cell is an independent simulation of its own fork of the row's
+ * workload build (CellRows) with its own seed-derived RNG stream
+ * (Rng::cellSeed(base, workload, config)), and results are
  * recorded into preallocated slots keyed by (workload, config) index
  * (the cell ledger, sim/ledger.hh), so scheduling never reorders or
  * perturbs anything. Only the progress lines on stderr and the
@@ -18,6 +19,8 @@
 #define SVR_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,17 +121,60 @@ struct MatrixTiming
 };
 
 /**
- * Run one (workload, config) cell with the engine's fault isolation:
- * legacy panic()/fatal() sites captured as SimErrors, injected faults
- * applied, up to opts.maxAttempts tries. On final failure either
- * rethrows (fail-fast) or returns a deterministic failure record
- * (opts.keepGoing). The result carries the cell identity (spec.name,
- * config.label). This is the exact per-cell path runMatrix() uses;
- * the distributed fabric workers (sim/fabric.hh) call it directly so
- * a cell computes the same bytes no matter which process runs it.
+ * The engine's per-cell path over one set of cells: a runMatrix()
+ * call, or one fabric lease (sim/fabric.hh), so a cell computes the
+ * same bytes no matter which process runs it. Each workload is built
+ * (WorkloadSpec::make) once, when the first of its cells runs, and
+ * every cell of its row simulates a private copy-on-write fork of that
+ * build (WorkloadImage). Only successful builds are kept: a failing
+ * factory is called again on every attempt of every cell. A row's
+ * build is dropped when its last cell finishes. Safe to use from
+ * concurrent cells.
  */
-SimResult runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
-                          const MatrixOptions &opts);
+class CellRows
+{
+  public:
+    /**
+     * Rows of @p workloads x @p configs (cells workload-major) for
+     * the cells in @p cells, each of which must be finished once.
+     */
+    CellRows(const std::vector<WorkloadSpec> &workloads,
+             const std::vector<SimConfig> &configs,
+             const MatrixOptions &opts,
+             const std::vector<std::size_t> &cells);
+
+    /**
+     * Run cell @p idx with the engine's fault isolation: legacy
+     * panic()/fatal() sites captured as SimErrors, injected faults
+     * applied, up to opts.maxAttempts tries. On final failure either
+     * rethrows (fail-fast) or returns a deterministic failure record
+     * (opts.keepGoing). The result carries the cell identity
+     * (spec.name, config.label).
+     */
+    SimResult run(std::size_t idx);
+
+    /**
+     * Count cell @p idx (run or restored) as finished; true if it was
+     * the last of its row, whose build is then dropped.
+     */
+    bool finish(std::size_t idx);
+
+  private:
+    /** A fork of row @p wi's build, building it first if needed. */
+    WorkloadInstance fork(std::size_t wi);
+
+    struct Row
+    {
+        std::mutex mtx;
+        std::optional<WorkloadImage> image;
+        std::size_t cellsLeft = 0;
+    };
+
+    const std::vector<WorkloadSpec> &workloads;
+    const std::vector<SimConfig> &configs;
+    const MatrixOptions &opts;
+    std::vector<Row> rows;
+};
 
 /**
  * Simulate every workload under every config, sharding the cells

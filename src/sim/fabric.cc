@@ -1098,27 +1098,31 @@ runFabricWorker(const WorkerOptions &opts)
                 return 2;
             }
 
-            // Simulate the lease's cells — in parallel when jobs > 1.
-            // parallelFor() rethrows the first error, so a fail-fast
-            // SimError surfaces here exactly like it surfaces from
-            // runMatrix().
-            std::atomic<bool> lease_stale{false};
-            parallelFor(cells.size(), opts.jobs, [&](std::size_t k) {
-                const std::size_t idx = cells[k];
+            for (const std::size_t idx : cells) {
                 if (idx >= num_cells) {
                     throw simErrorf(ErrCode::InternalInvariant, {},
                                     "fabric: leased cell %zu out of "
                                     "range",
                                     idx);
                 }
+            }
+
+            // Simulate the lease's cells — in parallel when jobs > 1 —
+            // on the engine's per-cell path: each row of the lease is
+            // built once. parallelFor() rethrows the first error, so a
+            // fail-fast SimError surfaces here exactly like it
+            // surfaces from runMatrix().
+            CellRows rows(workloads, configs, mopts, cells);
+            std::atomic<bool> lease_stale{false};
+            parallelFor(cells.size(), opts.jobs, [&](std::size_t k) {
+                const std::size_t idx = cells[k];
                 if (dead.load(std::memory_order_relaxed) ||
                     stop.load(std::memory_order_relaxed) ||
                     lease_stale.load(std::memory_order_relaxed)) {
                     return;
                 }
-                const WorkloadSpec &w = workloads[idx / configs.size()];
-                const SimConfig &c = configs[idx % configs.size()];
-                const SimResult res = runIsolatedCell(w, c, mopts);
+                const SimResult res = rows.run(idx);
+                rows.finish(idx);
                 if (lease_stale.load(std::memory_order_relaxed))
                     return;
                 std::string rep;

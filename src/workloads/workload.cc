@@ -3,6 +3,22 @@
 namespace svr
 {
 
+WorkloadImage::WorkloadImage(WorkloadInstance built)
+    : name(std::move(built.name)),
+      mem(built.mem ? std::make_shared<const FunctionalMemory::Image>(
+                          std::move(*built.mem))
+                    : nullptr),
+      program(std::move(built.program))
+{
+}
+
+WorkloadInstance
+WorkloadImage::fork() const
+{
+    return {name, mem ? std::make_shared<FunctionalMemory>(mem) : nullptr,
+            program};
+}
+
 Addr
 layoutArray64(FunctionalMemory &mem, const std::vector<std::uint64_t> &values)
 {

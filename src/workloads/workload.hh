@@ -1,8 +1,14 @@
 /**
  * @file
  * Workload abstraction: a named factory producing a fresh
- * (program, functional memory) pair per simulation run, so that every
- * core configuration simulates bit-identical initial state.
+ * (program, functional memory) pair, so that every core configuration
+ * simulates bit-identical initial state.
+ *
+ * A sweep builds each workload once and freezes it into a
+ * WorkloadImage: the image (its memory pages and Program) is shared
+ * and never written, while every cell simulates a private
+ * copy-on-write fork of it, which starts from the same bytes as a
+ * fresh make().
  */
 
 #ifndef SVR_WORKLOADS_WORKLOAD_HH
@@ -27,7 +33,10 @@ struct WorkloadInstance
     std::shared_ptr<Program> program;
 };
 
-/** Factory producing a fresh instance (fresh memory state). */
+/**
+ * Factory producing a fresh instance (fresh memory state, held by
+ * nothing but the instance).
+ */
 using WorkloadFactory = std::function<WorkloadInstance()>;
 
 /** A named workload in a suite. */
@@ -36,6 +45,26 @@ struct WorkloadSpec
     std::string name;
     std::string suite; //!< "graph", "hpcdb", or "spec"
     WorkloadFactory make;
+};
+
+/**
+ * A built workload frozen for sharing. Immutable, so any thread may
+ * fork() it; the forks share its Program, which simulation only ever
+ * reads (the Executor takes it as const).
+ */
+class WorkloadImage
+{
+  public:
+    /** Freeze @p built (a fresh make()); its memory pages move here. */
+    explicit WorkloadImage(WorkloadInstance built);
+
+    /** A private instance: a copy-on-write fork of the memory. */
+    WorkloadInstance fork() const;
+
+  private:
+    std::string name;
+    std::shared_ptr<const FunctionalMemory::Image> mem;
+    std::shared_ptr<Program> program;
 };
 
 /** Helpers for laying out initialized arrays in functional memory. */

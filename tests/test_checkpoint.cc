@@ -6,7 +6,9 @@
  *    to the machine it was captured from, both functionally and for a
  *    detailed timing continuation on every core model;
  *  - any corruption of the byte image (magic, truncation, trailing
- *    garbage, bad booleans) throws SimError(IoError), never restores.
+ *    garbage, bad booleans) or memory state no machine can hold (a
+ *    page beyond the address space, an allocation cursor below the
+ *    data segment) throws SimError(IoError), never restores.
  */
 
 #include <gtest/gtest.h>
@@ -379,6 +381,47 @@ TEST(Checkpoint, CorruptImagesAreRejected)
         }
     }
     EXPECT_GT(rejected, 0u);
+}
+
+/** The error deserializing @p ck's bytes throws; fails if none. */
+std::string
+rejection(const Checkpoint &ck)
+{
+    try {
+        deserializeCheckpoint(serializeCheckpoint(ck));
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::IoError);
+        return e.message();
+    }
+    ADD_FAILURE() << "impossible checkpoint accepted";
+    return "";
+}
+
+TEST(Checkpoint, PageBeyondTheAddressSpaceIsRejected)
+{
+    const WorkloadInstance w = ckptWorkload();
+    Executor exec(*w.program, *w.mem);
+    exec.run(4000);
+    Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
+    ASSERT_FALSE(ck.pages.empty());
+    // pageNum << 12 would wrap this page onto address 0x1000.
+    ck.pages.back().pageNum = FunctionalMemory::pageNumLimit + 1;
+    EXPECT_NE(rejection(ck).find("page number"), std::string::npos);
+    ck.pages.back().pageNum = FunctionalMemory::pageNumLimit - 1;
+    EXPECT_NO_THROW(deserializeCheckpoint(serializeCheckpoint(ck)));
+}
+
+TEST(Checkpoint, AllocTopBelowTheDataBaseIsRejected)
+{
+    const WorkloadInstance w = ckptWorkload();
+    Executor exec(*w.program, *w.mem);
+    exec.run(4000);
+    Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
+    // restoreCheckpoint() would abort on this cursor.
+    ck.allocTop = FunctionalMemory::dataBase - 1;
+    EXPECT_NE(rejection(ck).find("allocation cursor"), std::string::npos);
+    ck.allocTop = FunctionalMemory::dataBase;
+    EXPECT_NO_THROW(deserializeCheckpoint(serializeCheckpoint(ck)));
 }
 
 } // namespace

@@ -2,13 +2,15 @@
  * Distributed sweep fabric tests: wire framing over socketpairs and
  * real listeners (unix + tcp loopback), SweepSpec round trips,
  * LeaseQueue policy (chunking, reclaim, poisoning, restored cells),
- * and an in-process coordinator/worker end-to-end run checked
- * cell-for-cell against the thread-pool engine.
+ * one build per row of a lease, and in-process coordinator/worker
+ * end-to-end runs checked cell-for-cell against the thread-pool
+ * engine.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <sys/socket.h>
@@ -407,21 +409,24 @@ TEST(LeaseQueue, LateResultAfterReclaimStillCounts)
 namespace
 {
 
-/** Reference + fabric run over quick/ino; compare via journal lines. */
+/**
+ * Reference + fabric run over the quick suite (ino unless @p names
+ * says otherwise); compare via journal lines.
+ */
 struct E2E
 {
     std::vector<WorkloadSpec> workloads = suiteByName("quick");
     std::vector<SimConfig> configs;
     SweepSpec spec;
+    unsigned chunk = 0; //!< cells per lease; 0 = auto
 
-    E2E()
+    explicit E2E(const std::string &names = "ino")
     {
-        SimConfig c = presets::byName("ino");
-        c.maxInstructions = 4000;
-        configs.push_back(c);
-        spec.key = {"quick", "ino", 4000, 0x5eed5eed5eed5eedULL, ""};
+        spec.key = {"quick", names, 4000, 0x5eed5eed5eed5eedULL, ""};
         spec.keepGoing = false;
         spec.retries = 1;
+        std::vector<WorkloadSpec> unused;
+        spec.materialize(unused, configs);
     }
 
     std::vector<SimResult>
@@ -442,6 +447,7 @@ struct E2E
         fopts.listen = "unix:" + testSocketPath(tag);
         fopts.spawnWorkers = 0; // workers are in-process threads
         fopts.progress = false;
+        fopts.chunk = chunk;
 
         std::vector<std::thread> workers;
         std::vector<int> rcs(num_workers, -1);
@@ -486,6 +492,59 @@ TEST(FabricEndToEnd, MatchesThreadEngineCellForCell)
     EXPECT_EQ(timing.cells, ref.size());
     EXPECT_EQ(timing.jobs, 2u);
     EXPECT_EQ(timing.failedCells, 0u);
+}
+
+TEST(FabricEndToEnd, LeasesSpanningRowsMatchThreadEngine)
+{
+    // Leases of 3 cells over 2 configs: each lease holds a whole row
+    // and part of another, whose cells then share one build.
+    E2E e("ino,svr16");
+    e.chunk = 3;
+    const std::vector<SimResult> ref = e.reference();
+    const std::vector<SimResult> fab = e.fabric(2, {}, "rows");
+    ASSERT_EQ(fab.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); i++)
+        EXPECT_EQ(journalLine(fab[i]), journalLine(ref[i])) << i;
+}
+
+TEST(FabricLease, BuildsEachRowOfALeaseOnce)
+{
+    // A worker runs a lease's cells through CellRows; a lease of
+    // chunk >= 2 cells builds once per row it touches.
+    std::vector<std::atomic<unsigned>> calls(3);
+    std::vector<WorkloadSpec> workloads = suiteByName("quick");
+    workloads.resize(calls.size());
+    for (std::size_t i = 0; i < workloads.size(); i++) {
+        workloads[i].make = [make = workloads[i].make, &n = calls[i]] {
+            n++;
+            return make();
+        };
+    }
+    E2E e("ino,svr16");
+    MatrixOptions mopts;
+    mopts.progress = false;
+    LeaseQueue q(workloads.size() * e.configs.size(), /*chunk=*/4, 1);
+    std::vector<std::size_t> cells;
+    std::size_t leased = 0, rows_touched = 0;
+    while (q.take(cells)) {
+        ASSERT_GE(cells.size(), 2u);
+        CellRows rows(workloads, e.configs, mopts, cells);
+        std::vector<std::size_t> touched;
+        for (const std::size_t idx : cells) {
+            EXPECT_FALSE(rows.run(idx).failed);
+            rows.finish(idx);
+            touched.push_back(idx / e.configs.size());
+        }
+        std::sort(touched.begin(), touched.end());
+        rows_touched += static_cast<std::size_t>(
+            std::unique(touched.begin(), touched.end()) - touched.begin());
+        leased += cells.size();
+    }
+    EXPECT_EQ(leased, 6u);
+    const std::size_t builds =
+        calls[0].load() + calls[1].load() + calls[2].load();
+    EXPECT_EQ(builds, rows_touched);
+    EXPECT_LT(builds, leased);
 }
 
 TEST(FabricEndToEnd, RestoredCellsAreNeverLeasedAndStillEmitted)

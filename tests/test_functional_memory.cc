@@ -1,10 +1,13 @@
 /**
  * @file
- * Unit tests for the sparse functional memory and array layout
- * helpers.
+ * Unit tests for the sparse functional memory (copy-on-write forks of
+ * a shared image included) and array layout helpers.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "mem/functional_memory.hh"
 #include "workloads/workload.hh"
@@ -186,6 +189,163 @@ TEST(WorkloadLayout, ZerosReserveRange)
     const Addr next = m.alloc(8, 8);
     EXPECT_GE(next, base + 400);
     EXPECT_EQ(m.read(base + 396, 4), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Copy-on-write forks of a shared image
+// ---------------------------------------------------------------------
+
+using Image = FunctionalMemory::Image;
+
+/** Every page's number and bytes, in page order. */
+std::string
+pageBytesOf(const FunctionalMemory &m)
+{
+    std::string out;
+    for (const auto &page : m.snapshotPages()) {
+        out.append(reinterpret_cast<const char *>(&page.pageNum),
+                   sizeof(page.pageNum));
+        out.append(reinterpret_cast<const char *>(page.data), pageBytes);
+    }
+    return out;
+}
+
+/** A small built memory: two arrays on three pages plus zeroed space. */
+FunctionalMemory
+builtMemory()
+{
+    FunctionalMemory m;
+    std::vector<std::uint64_t> vals(700);
+    for (std::size_t i = 0; i < vals.size(); i++)
+        vals[i] = 0x1000 + i;
+    layoutArray64(m, vals);
+    layoutZeros(m, 4096, 8);
+    layoutArray32(m, {7, 8, 9});
+    return m;
+}
+
+std::shared_ptr<const Image>
+builtImage()
+{
+    return std::make_shared<const Image>(builtMemory());
+}
+
+TEST(CowMemory, FreezingMovesThePagesAndClearsTheSource)
+{
+    FunctionalMemory m = builtMemory();
+    const std::string bytes = pageBytesOf(m);
+    const auto image = std::make_shared<const Image>(std::move(m));
+    EXPECT_EQ(m.pagesTouched(), 0u);
+    EXPECT_EQ(m.bytesAllocated(), 0u);
+    EXPECT_EQ(pageBytesOf(FunctionalMemory(image)), bytes);
+}
+
+TEST(CowMemory, UnwrittenForkEqualsTheImage)
+{
+    const FunctionalMemory ref = builtMemory();
+    const FunctionalMemory fork(builtImage());
+    EXPECT_EQ(fork.pagesTouched(), ref.pagesTouched());
+    EXPECT_EQ(fork.allocTop(), ref.allocTop());
+    EXPECT_EQ(fork.bytesAllocated(), ref.bytesAllocated());
+    EXPECT_EQ(pageBytesOf(fork), pageBytesOf(ref));
+}
+
+TEST(CowMemory, WriteLeavesTheImageAndASiblingUnchanged)
+{
+    const FunctionalMemory ref = builtMemory();
+    const auto image = builtImage();
+    const Addr base = FunctionalMemory::dataBase;
+    FunctionalMemory a(image);
+    FunctionalMemory b(image);
+    a.write64(base + 8, 0xabcdef);
+    EXPECT_EQ(a.read64(base + 8), 0xabcdefu);
+    EXPECT_EQ(a.read64(base + 16), 0x1002u); // rest of the page copied
+    EXPECT_EQ(a.pagesTouched(), ref.pagesTouched()); // a copy, not new
+    EXPECT_EQ(b.read64(base + 8), 0x1001u);
+    EXPECT_EQ(pageBytesOf(b), pageBytesOf(ref));
+    EXPECT_EQ(pageBytesOf(FunctionalMemory(image)), pageBytesOf(ref));
+}
+
+TEST(CowMemory, ReadAfterWriteThroughACachedPageSeesTheNewValue)
+{
+    FunctionalMemory a(builtImage());
+    const std::size_t i = 520; // on the array's second page
+    const Addr addr = FunctionalMemory::dataBase + 8 * i;
+    // The read fills the read-side cache with the image's page first.
+    ASSERT_EQ(a.read64(addr), 0x1000u + i);
+    for (std::uint64_t v = 1; v <= 3; v++) {
+        a.write64(addr, v);
+        EXPECT_EQ(a.read64(addr), v);
+        EXPECT_EQ(a.read(addr, 4), v);
+    }
+}
+
+TEST(CowMemory, StraddlingWriteCopiesBothPages)
+{
+    const FunctionalMemory ref = builtMemory();
+    const auto image = builtImage();
+    FunctionalMemory a(image);
+    const Addr boundary = FunctionalMemory::dataBase + pageBytes;
+    a.write(boundary - 4, 0x1122334455667788ULL, 8);
+    EXPECT_EQ(a.read(boundary - 4, 8), 0x1122334455667788ULL);
+    // The untouched bytes of both pages kept the image's values.
+    EXPECT_EQ(a.read64(boundary - 16), ref.read64(boundary - 16));
+    EXPECT_EQ(a.read64(boundary + 8), ref.read64(boundary + 8));
+    EXPECT_EQ(a.pagesTouched(), ref.pagesTouched());
+    EXPECT_EQ(pageBytesOf(FunctionalMemory(image)), pageBytesOf(ref));
+}
+
+TEST(CowMemory, NeverMaterializedZeroPagesStayPrivate)
+{
+    const FunctionalMemory ref = builtMemory();
+    const auto image = builtImage();
+    FunctionalMemory a(image);
+    // Inside the layoutZeros() range: allocated, but no page exists.
+    const Addr zeros = FunctionalMemory::dataBase + 4 * pageBytes;
+    EXPECT_EQ(a.read64(zeros), 0u);
+    a.write64(zeros, 5);
+    EXPECT_EQ(a.read64(zeros), 5u);
+    EXPECT_EQ(a.pagesTouched(), ref.pagesTouched() + 1);
+    const FunctionalMemory b(image);
+    EXPECT_EQ(b.read64(zeros), 0u);
+    EXPECT_EQ(b.pagesTouched(), ref.pagesTouched());
+}
+
+TEST(CowMemory, ClearAndInstallPageRestoreAFork)
+{
+    const auto image = builtImage();
+    FunctionalMemory donor(image);
+    donor.write64(FunctionalMemory::dataBase, 42);
+    donor.write64(0x7000, 43); // a page the image lacks
+    const std::string want = pageBytesOf(donor);
+
+    FunctionalMemory a(image);
+    a.read64(FunctionalMemory::dataBase); // warm the caches
+    a.clear();
+    EXPECT_EQ(a.pagesTouched(), 0u);
+    EXPECT_EQ(a.allocTop(), FunctionalMemory::dataBase);
+    EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 0u);
+    for (const auto &page : donor.snapshotPages())
+        a.installPage(page.pageNum, page.data);
+    a.setAllocTop(donor.allocTop());
+    EXPECT_EQ(pageBytesOf(a), want);
+    EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 42u);
+    EXPECT_EQ(FunctionalMemory(image).read64(FunctionalMemory::dataBase),
+              0x1000u);
+}
+
+TEST(CowMemory, AFrozenForkKeepsItsImagePagesAlive)
+{
+    auto first = builtImage();
+    FunctionalMemory a(first);
+    a.write64(FunctionalMemory::dataBase, 99);
+    const std::string want = pageBytesOf(a);
+    const auto second = std::make_shared<const Image>(std::move(a));
+    first.reset(); // only the second image still refers to its pages
+    FunctionalMemory b(second);
+    EXPECT_EQ(pageBytesOf(b), want);
+    b.write64(FunctionalMemory::dataBase + 8, 100);
+    EXPECT_EQ(pageBytesOf(FunctionalMemory(second)), want);
 }
 
 } // namespace

@@ -11,6 +11,10 @@
  *  - determinism regression: the JSON report for 1 thread and N
  *    threads must be byte-identical (failures print a field-level
  *    diff);
+ *  - one build per workload row: runMatrix() calls each factory once
+ *    (every cell simulates a copy-on-write fork of that build, and
+ *    gets the results a fresh build gives), while a failing factory
+ *    is retried and recorded exactly as with one build per cell;
  *  - golden-stats snapshots for three representative cells, pinning
  *    IPC, cache misses, DRAM transfers, and prefetch accuracy so
  *    timing-model drift is caught in CI, not in a regenerated paper
@@ -38,10 +42,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
+#include "test_helpers.hh"
 #include "workloads/suites.hh"
 
 namespace svr
@@ -409,6 +415,108 @@ TEST(SerialVsParallel, CsvReportByteIdentical)
     for (const auto &r : flattenMatrix(qm.parallel))
         b += csvRow(r) + "\n";
     EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------
+// One build per workload row
+// ---------------------------------------------------------------------
+
+std::vector<SimConfig>
+smallConfigs()
+{
+    std::vector<SimConfig> cfgs = {presets::inorder(), presets::impCore(),
+                                   presets::svrCore(16)};
+    for (auto &c : cfgs)
+        c.maxInstructions = 5000;
+    return cfgs;
+}
+
+MatrixOptions
+quietOptions(unsigned jobs)
+{
+    MatrixOptions opts;
+    opts.jobs = jobs;
+    opts.progress = false;
+    opts.summary = false;
+    return opts;
+}
+
+/** Small workloads whose factories count their calls in @p calls. */
+std::vector<WorkloadSpec>
+countedSpecs(std::vector<std::atomic<unsigned>> &calls)
+{
+    std::vector<WorkloadSpec> specs = {
+        {"stride", "test",
+         [] { return test::strideIndirect(1 << 10, 1 << 14, 7); }},
+        {"stream", "test", [] { return test::streamSum(1 << 10); }},
+        findWorkload("Camel"),
+    };
+    for (std::size_t i = 0; i < specs.size(); i++) {
+        specs[i].make = [make = specs[i].make, &n = calls.at(i)] {
+            n++;
+            return make();
+        };
+    }
+    return specs;
+}
+
+TEST(SharedBuilds, EachWorkloadIsBuiltOncePerMatrix)
+{
+    const std::vector<SimConfig> configs = smallConfigs();
+    for (const unsigned jobs : {1u, 4u}) {
+        std::vector<std::atomic<unsigned>> calls(3);
+        const std::vector<WorkloadSpec> specs = countedSpecs(calls);
+        const std::vector<SimResult> shared =
+            flattenMatrix(runMatrix(specs, configs, quietOptions(jobs)));
+        for (std::size_t i = 0; i < specs.size(); i++) {
+            EXPECT_EQ(calls[i].load(), 1u)
+                << specs[i].name << ", jobs " << jobs;
+        }
+
+        // Every cell gets what a fresh build of its own gives.
+        std::vector<SimResult> fresh;
+        for (const WorkloadSpec &spec : specs) {
+            for (const SimConfig &c : configs) {
+                fresh.push_back(simulate(c, spec));
+                fresh.back().workload = spec.name;
+            }
+        }
+        EXPECT_EQ(toJson(shared), toJson(fresh)) << "jobs " << jobs;
+    }
+}
+
+TEST(SharedBuilds, FailingBuildIsRetriedAndRecordedPerCell)
+{
+    const std::vector<SimConfig> configs = smallConfigs();
+    for (const unsigned attempts : {1u, 2u}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            std::atomic<unsigned> calls{0};
+            const std::vector<WorkloadSpec> specs = {
+                {"broken", "test", [&calls]() -> WorkloadInstance {
+                     calls++;
+                     fatal("no input for %s", "broken");
+                 }}};
+            MatrixOptions opts = quietOptions(jobs);
+            opts.keepGoing = true;
+            opts.maxAttempts = attempts;
+            const std::vector<SimResult> res =
+                flattenMatrix(runMatrix(specs, configs, opts));
+            // A failed build is never kept: every attempt of every
+            // cell calls the factory, as with one build per cell.
+            EXPECT_EQ(calls.load(), configs.size() * attempts);
+            ASSERT_EQ(res.size(), configs.size());
+            for (std::size_t c = 0; c < res.size(); c++) {
+                EXPECT_TRUE(res[c].failed);
+                EXPECT_EQ(res[c].workload, "broken");
+                EXPECT_EQ(res[c].config, configs[c].label);
+                EXPECT_EQ(res[c].errCode, "WorkloadBuild");
+                EXPECT_EQ(res[c].errMessage,
+                          "WorkloadBuild: no input for broken [cell=broken/" +
+                              configs[c].label + "]");
+                EXPECT_EQ(res[c].attempts, attempts);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,17 +2,21 @@
  * @file
  * Functional-correctness tests for the workload kernels: each kernel
  * is executed to completion on a small input and its results compared
- * against a host-side reference implementation.
+ * against a host-side reference implementation. A copy-on-write fork
+ * of every suite workload's build must equal a fresh build.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <deque>
 #include <queue>
 
 #include "common/rng.hh"
 #include "core/executor.hh"
+#include "isa/disassembler.hh"
 #include "workloads/gap_kernels.hh"
 #include "workloads/hpcdb_kernels.hh"
 #include "workloads/spec_kernels.hh"
@@ -518,6 +522,46 @@ TEST(WorkloadsSuites, GraphInputsCached)
     const auto a = getGraphInput("KR");
     const auto b = getGraphInput("KR");
     EXPECT_EQ(a.get(), b.get());
+}
+
+/** Pages (number and bytes) in which @p a and @p b differ. */
+std::size_t
+pagesDiffering(const FunctionalMemory &a, const FunctionalMemory &b)
+{
+    const auto pa = a.snapshotPages();
+    const auto pb = b.snapshotPages();
+    if (pa.size() != pb.size())
+        return std::max(pa.size(), pb.size());
+    std::size_t diff = 0;
+    for (std::size_t i = 0; i < pa.size(); i++) {
+        diff += pa[i].pageNum != pb[i].pageNum ||
+                std::memcmp(pa[i].data, pb[i].data, pageBytes) != 0;
+    }
+    return diff;
+}
+
+TEST(WorkloadImage, ForkEqualsAFreshBuild)
+{
+    std::vector<WorkloadSpec> specs = fullSuite();
+    for (const WorkloadSpec &spec : specSuite())
+        specs.push_back(spec);
+    for (const WorkloadSpec &spec : specs) {
+        SCOPED_TRACE(spec.name);
+        const WorkloadImage image(spec.make());
+        const WorkloadInstance fresh = spec.make();
+        {
+            // A fork that ran (and wrote) must not leak into the image.
+            const WorkloadInstance used = image.fork();
+            Executor(*used.program, *used.mem).run(20000);
+        }
+        const WorkloadInstance fork = image.fork();
+        EXPECT_EQ(fork.name, fresh.name);
+        EXPECT_EQ(fork.mem->allocTop(), fresh.mem->allocTop());
+        EXPECT_EQ(fork.mem->pagesTouched(), fresh.mem->pagesTouched());
+        EXPECT_EQ(pagesDiffering(*fork.mem, *fresh.mem), 0u);
+        EXPECT_EQ(fork.program->name(), fresh.program->name());
+        EXPECT_EQ(disassemble(*fork.program), disassemble(*fresh.program));
+    }
 }
 
 } // namespace

@@ -24,7 +24,8 @@ root="${1:-.}"
 
 # The artifact-producing sources: everything whose output is under the
 # byte-identity contract (reports, journals, checkpoints, wire frames,
-# stats, the lint/chain reports themselves).
+# stats, the lint/chain reports themselves). functional_memory.cc is
+# here because snapshotPages() feeds the checkpoint bytes.
 files=(
     src/sim/report.cc
     src/sim/journal.cc
@@ -32,6 +33,7 @@ files=(
     src/sim/experiment.cc
     src/sim/fabric.cc
     src/sim/ledger.cc
+    src/mem/functional_memory.cc
     src/common/stats.cc
     src/common/io.cc
     src/common/parallel.cc
