@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks: simulator throughput (simulated
- * instructions per second) for each core model, plus the costs of the
+ * instructions per second) for each core model, the costs of the
  * hottest primitives (functional step, functional memory, cache
- * lookup, MSHR bookkeeping, SVR rounds).
+ * lookup, MSHR bookkeeping, SVR rounds), and the setup before a sweep
+ * (graph input generation, workload builds).
  *
  * The timing-model benchmarks need fresh simulator state per
  * iteration but must not time its construction. PauseTiming/
@@ -28,7 +29,9 @@
 #include "mem/memory_system.hh"
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
+#include "workloads/graph.hh"
 #include "workloads/hpcdb_kernels.hh"
+#include "workloads/suites.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -307,6 +310,43 @@ BM_MshrAllocDrain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MshrAllocDrain);
+
+// -- Setup: input generation and workload builds --------------------------
+
+/** RMAT edge generation plus CSR build, at the KR input's shape. */
+void
+BM_KroneckerGenerate(benchmark::State &state)
+{
+    const auto scale = static_cast<unsigned>(state.range(0));
+    for (auto _ : state) {
+        HostGraph g = makeKronecker(scale, 16, 0x4b01);
+        benchmark::DoNotOptimize(g);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (std::int64_t{16} << scale)); // edges
+}
+BENCHMARK(BM_KroneckerGenerate)->Arg(17)->Unit(benchmark::kMillisecond);
+
+/**
+ * One make() of a suite workload: its layout and host-side init in
+ * fresh functional memory. A graph input is generated (and cached)
+ * before timing starts, so only the build is measured.
+ */
+void
+BM_WorkloadMake(benchmark::State &state, const char *name)
+{
+    setInformEnabled(false);
+    const WorkloadSpec spec = findWorkload(name);
+    spec.make();
+    for (auto _ : state) {
+        WorkloadInstance w = spec.make();
+        benchmark::DoNotOptimize(w);
+    }
+}
+BENCHMARK_CAPTURE(BM_WorkloadMake, graph, "BFS_KR")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadMake, hpcdb, "NAS-CG")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

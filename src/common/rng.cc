@@ -52,7 +52,6 @@ Rng::nextBounded(std::uint64_t bound)
 {
     if (bound == 0)
         panic("Rng::nextBounded called with bound 0");
-    // Simple modulo; bias is negligible for our bounds (<< 2^64).
     return next() % bound;
 }
 
@@ -60,6 +59,15 @@ double
 Rng::nextDouble()
 {
     return (next() >> 11) * 0x1.0p-53;
+}
+
+std::uint64_t
+Rng::drawThreshold(double p)
+{
+    if (!(p >= 0.0 && p <= 1.0))
+        panic("Rng::drawThreshold: probability %g outside [0, 1]", p);
+    // Scaling by 2^53 is exact, so only the ceil rounds.
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 std::uint64_t

@@ -29,11 +29,24 @@ class Rng
     /** Next raw 64-bit value. */
     std::uint64_t next();
 
-    /** Uniform integer in [0, bound) via Lemire's method; bound > 0. */
+    /**
+     * Integer in [0, bound) as next() % bound; bound > 0. The modulo
+     * bias is negligible for bounds far below 2^64, and every
+     * generated input depends on this exact mapping.
+     */
     std::uint64_t nextBounded(std::uint64_t bound);
 
-    /** Uniform double in [0, 1). */
+    /** Uniform double in [0, 1): the top 53 bits of next() times 2^-53. */
     double nextDouble();
+
+    /**
+     * ceil(@p p * 2^53) for a probability @p p in [0, 1]: the least raw
+     * draw k = next() >> 11 with k * 2^-53 >= p. So
+     * `(next() >> 11) < drawThreshold(p)` holds exactly when
+     * `nextDouble() < p` would, on the same stream, and a hot loop can
+     * compare integers without a branch.
+     */
+    static std::uint64_t drawThreshold(double p);
 
     /**
      * Sample from a (truncated) power-law distribution over [1, max],

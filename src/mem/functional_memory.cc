@@ -88,6 +88,37 @@ FunctionalMemory::writablePage(Addr page_num)
     return own->data();
 }
 
+void
+FunctionalMemory::writeRange(Addr addr, std::uint64_t bytes,
+                             const std::uint8_t *src, std::uint32_t fill)
+{
+    // The fill's little-endian bytes twice over: the four bytes from
+    // pattern[i & 3] on continue the fill at range offset i.
+    std::uint8_t pattern[8];
+    for (unsigned i = 0; i < 8; i++)
+        pattern[i] = static_cast<std::uint8_t>(fill >> (8 * (i & 3)));
+    for (std::uint64_t done = 0; done < bytes;) {
+        const Addr a = addr + done;
+        const Addr off = a & (pageBytes - 1);
+        const std::uint64_t n =
+            std::min<std::uint64_t>(pageBytes - off, bytes - done);
+        std::uint8_t *dst = writablePage(a >> pageShift) + off;
+        if (src) {
+            std::memcpy(dst, src + done, n);
+        } else {
+            const std::uint8_t *phase = pattern + (done & 3);
+            std::uint32_t word;
+            std::memcpy(&word, phase, 4);
+            std::uint64_t i = 0;
+            for (; i + 4 <= n; i += 4)
+                std::memcpy(dst + i, &word, 4);
+            for (; i < n; i++)
+                dst[i] = phase[i & 3];
+        }
+        done += n;
+    }
+}
+
 std::uint64_t
 FunctionalMemory::readSlow(Addr addr, unsigned bytes) const
 {
@@ -181,9 +212,17 @@ FunctionalMemory::alloc(std::uint64_t bytes, std::uint64_t align)
         fatal("FunctionalMemory::alloc: alignment %llu not a power of two",
               static_cast<unsigned long long>(align));
     Addr &cursor = table.allocCursor;
-    cursor = (cursor + align - 1) & ~(align - 1);
-    const Addr base = cursor;
-    cursor += bytes;
+    const Addr base = (cursor + (align - 1)) & ~(align - 1);
+    // Rounding up wrapped if base < cursor; the end wraps if it would
+    // pass 2^64 - 1. Either way the range would alias existing data.
+    if (base < cursor || bytes > ~Addr{0} - base) {
+        fatal("FunctionalMemory::alloc: %llu bytes (alignment %llu) "
+              "from cursor %llx pass the top of the address space",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(align),
+              static_cast<unsigned long long>(cursor));
+    }
+    cursor = base + bytes;
     return base;
 }
 

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -108,8 +109,43 @@ class FunctionalMemory
     void writeDouble(Addr addr, double v);
 
     /**
+     * Store @p count consecutive little-endian elements (4- or 8-byte
+     * integers or doubles) from @p values at @p addr. The bytes, the
+     * pages materialized and pagesTouched() are those of the
+     * element-by-element write() loop, but each 4 KiB page costs one
+     * writablePage() call and one copy.
+     */
+    template <typename T>
+    void
+    writeArray(Addr addr, const T *values, std::uint64_t count)
+    {
+        static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+        if constexpr (littleEndianHost) {
+            writeRange(addr, count * sizeof(T),
+                       reinterpret_cast<const std::uint8_t *>(values), 0);
+        } else {
+            using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                            std::uint64_t>;
+            for (std::uint64_t i = 0; i < count; i++)
+                write(addr + i * sizeof(T), std::bit_cast<Bits>(values[i]),
+                      sizeof(T));
+        }
+    }
+
+    /**
+     * Store @p count copies of the 32-bit @p value from @p addr on, a
+     * page at a time, as writeArray() does.
+     */
+    void
+    fill32(Addr addr, std::uint32_t value, std::uint64_t count)
+    {
+        writeRange(addr, count * 4, nullptr, value);
+    }
+
+    /**
      * Allocate @p bytes in the data segment with @p align alignment
      * (power of two), returning the base address. Memory is zeroed.
+     * fatal() if the range would pass the top of the address space.
      */
     Addr alloc(std::uint64_t bytes, std::uint64_t align = 64);
 
@@ -256,6 +292,14 @@ class FunctionalMemory
         tcData[slot] = page->data();
         return page->data();
     }
+
+    /**
+     * The page-at-a-time write behind writeArray() and fill32(): copy
+     * @p bytes from @p src, or, if @p src is null, repeat the
+     * little-endian bytes of @p fill from @p addr on.
+     */
+    void writeRange(Addr addr, std::uint64_t bytes, const std::uint8_t *src,
+                    std::uint32_t fill);
 
     /** Byte-by-byte paths for page-straddling (or odd-host) accesses. */
     std::uint64_t readSlow(Addr addr, unsigned bytes) const;

@@ -83,14 +83,12 @@ makeBfs(std::shared_ptr<const HostGraph> g, const std::string &name,
     auto mem = std::make_shared<FunctionalMemory>();
     const GraphLayout gl = layoutGraph(*g, *mem);
     const std::uint32_t n = g->numNodes;
-    const Addr parent_base = layoutZeros(*mem, n, 4);
-    const Addr q_base = layoutZeros(*mem, static_cast<std::uint64_t>(n) + 8,
-                                    4);
     // The paper's methodology skips initialization: the first BFS's
     // parent[] = -1 sweep is done host-side, and the program enters at
     // the seeding code. Wrapped restarts re-initialize in-program.
-    for (std::uint32_t v = 0; v < n; v++)
-        mem->write(parent_base + static_cast<Addr>(v) * 4, unvisited32, 4);
+    const Addr parent_base = layoutFill32(*mem, n, unvisited32);
+    const Addr q_base = layoutZeros(*mem, static_cast<std::uint64_t>(n) + 8,
+                                    4);
 
     ProgramBuilder b("bfs/" + name);
     b.li(4, gl.neighbors);
@@ -232,7 +230,9 @@ makeBc(std::shared_ptr<const HostGraph> g, const std::string &name,
     auto mem = std::make_shared<FunctionalMemory>();
     const GraphLayout gl = layoutGraph(*g, *mem);
     const std::uint32_t n = g->numNodes;
-    const Addr depth_base = layoutZeros(*mem, n, 4);
+    // Host-side init of the first source's arrays (paper methodology
+    // skips initialization): depth[] = -1; sigma/delta are zero.
+    const Addr depth_base = layoutFill32(*mem, n, unvisited32);
     const Addr sigma_base = layoutZeros(*mem, n, 8);  // doubles
     const Addr delta_base = layoutZeros(*mem, n, 8);  // doubles
     const Addr order_base = layoutZeros(*mem,
@@ -241,11 +241,6 @@ makeBc(std::shared_ptr<const HostGraph> g, const std::string &name,
     const Addr cent_base = layoutZeros(*mem, n, 8);   // doubles
 
     const std::uint64_t one_bits = std::bit_cast<std::uint64_t>(1.0);
-
-    // Host-side init of the first source's arrays (paper methodology
-    // skips initialization); sigma/delta are already zero.
-    for (std::uint32_t v = 0; v < n; v++)
-        mem->write(depth_base + static_cast<Addr>(v) * 4, unvisited32, 4);
 
     ProgramBuilder b("bc/" + name);
     b.li(4, gl.neighbors);
@@ -428,7 +423,9 @@ makeSssp(std::shared_ptr<const HostGraph> g, const std::string &name,
     for (auto &w : weights)
         w = 1 + static_cast<std::uint32_t>(rng.nextBounded(15));
     const Addr wt_base = layoutArray32(*mem, weights);
-    const Addr dist_base = layoutZeros(*mem, n, 4);
+    // Host-side init of the first source's distances (the paper's
+    // methodology skips initialization).
+    const Addr dist_base = layoutFill32(*mem, n, infDist32);
     const Addr qa_base = layoutZeros(*mem,
                                      static_cast<std::uint64_t>(n) + 8, 4);
     const Addr qb_base = layoutZeros(*mem,
@@ -437,10 +434,6 @@ makeSssp(std::shared_ptr<const HostGraph> g, const std::string &name,
     // a node is pushed to the next bin at most once per round.
     const Addr flag_base = layoutZeros(*mem, n, 1);
     (void)m;
-    // Host-side init of the first source's distances (the paper's
-    // methodology skips initialization).
-    for (std::uint32_t v = 0; v < n; v++)
-        mem->write(dist_base + static_cast<Addr>(v) * 4, infDist32, 4);
 
     ProgramBuilder b("sssp/" + name);
     b.li(4, gl.neighbors);

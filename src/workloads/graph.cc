@@ -64,25 +64,21 @@ makeKronecker(unsigned scale, unsigned avg_degree, std::uint64_t seed)
     const std::uint64_t num_edges =
         static_cast<std::uint64_t>(nodes) * avg_degree;
     edges.reserve(num_edges);
-    // RMAT quadrant probabilities (Graph500 defaults).
-    const double a = 0.57, b = 0.19, c = 0.19;
+    // The quadrant is r < a ? 0 : r < a + b ? 1 : r < a + b + c ? 2 : 3
+    // for r = nextDouble(). Branches on r are random and mispredict
+    // often; counting the integer thresholds (Rng::drawThreshold) that
+    // the raw draw reaches gives the same quadrant without a branch.
+    const std::uint64_t t1 = Rng::drawThreshold(rmatA);
+    const std::uint64_t t2 = Rng::drawThreshold(rmatA + rmatB);
+    const std::uint64_t t3 = Rng::drawThreshold(rmatA + rmatB + rmatC);
     for (std::uint64_t i = 0; i < num_edges; i++) {
         std::uint32_t u = 0, v = 0;
         for (unsigned bit = 0; bit < scale; bit++) {
-            const double r = rng.nextDouble();
-            unsigned ub = 0, vb = 0;
-            if (r < a) {
-                // top-left
-            } else if (r < a + b) {
-                vb = 1;
-            } else if (r < a + b + c) {
-                ub = 1;
-            } else {
-                ub = 1;
-                vb = 1;
-            }
-            u = (u << 1) | ub;
-            v = (v << 1) | vb;
+            const std::uint64_t k = rng.next() >> 11;
+            // 0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right.
+            const unsigned q = (k >= t1) + (k >= t2) + (k >= t3);
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
         edges.emplace_back(u, v);
     }
@@ -132,12 +128,11 @@ layoutGraph(const HostGraph &g, FunctionalMemory &mem)
     layout.numNodes = g.numNodes;
     layout.numEdges = g.numEdges();
     layout.offsets = mem.alloc(g.offsets.size() * 8, 64);
-    for (std::size_t i = 0; i < g.offsets.size(); i++)
-        mem.write64(layout.offsets + i * 8, g.offsets[i]);
+    mem.writeArray(layout.offsets, g.offsets.data(), g.offsets.size());
     layout.neighbors = mem.alloc(std::max<std::size_t>(
                                      g.neighbors.size(), 1) * 4, 64);
-    for (std::size_t i = 0; i < g.neighbors.size(); i++)
-        mem.write(layout.neighbors + i * 4, g.neighbors[i], 4);
+    mem.writeArray(layout.neighbors, g.neighbors.data(),
+                   g.neighbors.size());
     return layout;
 }
 

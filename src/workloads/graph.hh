@@ -20,7 +20,11 @@
 namespace svr
 {
 
-/** Host-side CSR graph (built once, copied into fresh memory per run). */
+/**
+ * Host-side CSR graph. Built once per process (getGraphInput caches
+ * it) and copied into functional memory once per sweep row, whose
+ * cells then share that build as copy-on-write forks.
+ */
 struct HostGraph
 {
     std::uint32_t numNodes = 0;
@@ -41,7 +45,13 @@ struct HostGraph
 HostGraph makeUniformRandom(std::uint32_t nodes, unsigned avg_degree,
                             std::uint64_t seed);
 
-/** RMAT/Kronecker graph (a=0.57 b=0.19 c=0.19 d=0.05): KR input. */
+/** RMAT quadrant probabilities (Graph500 defaults; d = 1 - a - b - c). */
+constexpr double rmatA = 0.57, rmatB = 0.19, rmatC = 0.19;
+
+/**
+ * RMAT/Kronecker graph: KR input. Each of an edge's @p scale bit pairs
+ * picks a quadrant from one draw, with probabilities rmatA..rmatC.
+ */
 HostGraph makeKronecker(unsigned scale, unsigned avg_degree,
                         std::uint64_t seed);
 

@@ -19,31 +19,34 @@ WorkloadImage::fork() const
             program};
 }
 
+namespace
+{
+template <typename T>
+Addr
+layoutArray(FunctionalMemory &mem, const std::vector<T> &values)
+{
+    const Addr base = mem.alloc(values.size() * sizeof(T), 64);
+    mem.writeArray(base, values.data(), values.size());
+    return base;
+}
+} // namespace
+
 Addr
 layoutArray64(FunctionalMemory &mem, const std::vector<std::uint64_t> &values)
 {
-    const Addr base = mem.alloc(values.size() * 8, 64);
-    for (std::size_t i = 0; i < values.size(); i++)
-        mem.write64(base + i * 8, values[i]);
-    return base;
+    return layoutArray(mem, values);
 }
 
 Addr
 layoutArray32(FunctionalMemory &mem, const std::vector<std::uint32_t> &values)
 {
-    const Addr base = mem.alloc(values.size() * 4, 64);
-    for (std::size_t i = 0; i < values.size(); i++)
-        mem.write(base + i * 4, values[i], 4);
-    return base;
+    return layoutArray(mem, values);
 }
 
 Addr
 layoutDoubles(FunctionalMemory &mem, const std::vector<double> &values)
 {
-    const Addr base = mem.alloc(values.size() * 8, 64);
-    for (std::size_t i = 0; i < values.size(); i++)
-        mem.writeDouble(base + i * 8, values[i]);
-    return base;
+    return layoutArray(mem, values);
 }
 
 Addr
@@ -51,6 +54,14 @@ layoutZeros(FunctionalMemory &mem, std::uint64_t count, unsigned bytes)
 {
     // alloc() zero-fills pages lazily; just reserve the range.
     return mem.alloc(count * bytes, 64);
+}
+
+Addr
+layoutFill32(FunctionalMemory &mem, std::uint64_t count, std::uint32_t value)
+{
+    const Addr base = mem.alloc(count * 4, 64);
+    mem.fill32(base, value, count);
+    return base;
 }
 
 } // namespace svr

@@ -67,7 +67,10 @@ class WorkloadImage
     std::shared_ptr<Program> program;
 };
 
-/** Helpers for laying out initialized arrays in functional memory. */
+/**
+ * Helpers for laying out initialized arrays in functional memory. Each
+ * allocates a 64-byte-aligned range and fills it a page at a time.
+ */
 Addr layoutArray64(FunctionalMemory &mem,
                    const std::vector<std::uint64_t> &values);
 Addr layoutArray32(FunctionalMemory &mem,
@@ -76,6 +79,10 @@ Addr layoutDoubles(FunctionalMemory &mem, const std::vector<double> &values);
 
 /** Allocate a zero-filled array of @p count elements of @p bytes. */
 Addr layoutZeros(FunctionalMemory &mem, std::uint64_t count, unsigned bytes);
+
+/** Allocate @p count 32-bit elements, each set to @p value. */
+Addr layoutFill32(FunctionalMemory &mem, std::uint64_t count,
+                  std::uint32_t value);
 
 } // namespace svr
 

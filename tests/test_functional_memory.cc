@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the sparse functional memory (copy-on-write forks of
- * a shared image included) and array layout helpers.
+ * a shared image, page-at-a-time writes and the allocator's bounds
+ * included) and array layout helpers.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,12 @@
 #include <memory>
 #include <string>
 
+#include "common/error.hh"
+#include "common/logging.hh"
 #include "mem/functional_memory.hh"
+#include "sim/config.hh"
+#include "sim/experiment.hh"
+#include "test_helpers.hh"
 #include "workloads/workload.hh"
 
 namespace svr
@@ -346,6 +352,212 @@ TEST(CowMemory, AFrozenForkKeepsItsImagePagesAlive)
     EXPECT_EQ(pageBytesOf(b), want);
     b.write64(FunctionalMemory::dataBase + 8, 100);
     EXPECT_EQ(pageBytesOf(FunctionalMemory(second)), want);
+}
+
+// ---------------------------------------------------------------------
+// Page-at-a-time writes
+// ---------------------------------------------------------------------
+
+/** Element-by-element 32-bit writes, as the bulk writes replace. */
+void
+writeEach32(FunctionalMemory &m, Addr addr,
+            const std::vector<std::uint32_t> &values)
+{
+    for (std::size_t i = 0; i < values.size(); i++)
+        m.write(addr + i * 4, values[i], 4);
+}
+
+std::vector<std::uint32_t>
+ramp32(std::size_t n)
+{
+    std::vector<std::uint32_t> v(n);
+    for (std::size_t i = 0; i < n; i++)
+        v[i] = 0x9e3779b9u * static_cast<std::uint32_t>(i + 1);
+    return v;
+}
+
+TEST(BulkWrite, StraddlesPagesWithUnalignedEnds)
+{
+    // Neither end is page- or even element-aligned, and the range
+    // covers the tail of one page, a whole page and the head of a third.
+    const std::vector<std::uint32_t> vals = ramp32(1100);
+    for (const Addr addr : {3 * pageBytes - 6, 3 * pageBytes - 7}) {
+        SCOPED_TRACE(addr);
+        FunctionalMemory bulk, each;
+        bulk.writeArray(addr, vals.data(), vals.size());
+        writeEach32(each, addr, vals);
+        EXPECT_EQ(bulk.pagesTouched(), 3u);
+        EXPECT_EQ(pageBytesOf(bulk), pageBytesOf(each));
+        for (std::size_t i = 0; i < vals.size(); i++)
+            ASSERT_EQ(bulk.read(addr + i * 4, 4), vals[i]) << i;
+    }
+}
+
+TEST(BulkWrite, FillKeepsItsPhaseAcrossPages)
+{
+    // From an odd address the fill restarts mid-value at each page.
+    const std::uint32_t value = 0x44332211u;
+    for (const Addr addr : {5 * pageBytes - 7, 5 * pageBytes - 8,
+                            5 * pageBytes + 1}) {
+        SCOPED_TRACE(addr);
+        FunctionalMemory bulk, each;
+        bulk.fill32(addr, value, 2000);
+        writeEach32(each, addr, std::vector<std::uint32_t>(2000, value));
+        EXPECT_EQ(bulk.pagesTouched(), each.pagesTouched());
+        EXPECT_EQ(pageBytesOf(bulk), pageBytesOf(each));
+        EXPECT_EQ(bulk.read(addr + 1999 * 4, 4), value);
+        EXPECT_EQ(bulk.read(addr + 2000 * 4, 4), 0u); // nothing past the end
+    }
+}
+
+TEST(BulkWrite, ZeroLengthTouchesNothing)
+{
+    FunctionalMemory m;
+    const std::uint64_t one = 1;
+    m.writeArray(0x5000, &one, 0);
+    m.fill32(0x6ffe, 7, 0);
+    EXPECT_EQ(m.pagesTouched(), 0u);
+    EXPECT_TRUE(m.snapshotPages().empty());
+    EXPECT_EQ(layoutArray32(m, {}), layoutFill32(m, 0, 7));
+    EXPECT_EQ(m.pagesTouched(), 0u);
+}
+
+TEST(BulkWrite, MaterializesNeverWrittenZeroPages)
+{
+    FunctionalMemory m;
+    const Addr zeros = layoutZeros(m, 3 * pageBytes, 1);
+    const Addr after = m.alloc(8, 8);
+    EXPECT_EQ(m.pagesTouched(), 0u);
+    m.fill32(zeros + 8, 0xffffffffu, pageBytes / 4);
+    EXPECT_EQ(m.pagesTouched(), 2u); // the range straddles one boundary
+    EXPECT_EQ(m.read(zeros + 4, 4), 0u);
+    EXPECT_EQ(m.read(zeros + 8, 4), 0xffffffffu);
+    EXPECT_EQ(m.read(zeros + 8 + pageBytes, 4), 0u);
+    EXPECT_EQ(m.read(after, 8), 0u);
+}
+
+TEST(BulkWrite, ForkCopiesOnWriteAndLeavesImageAndSiblingUnchanged)
+{
+    const FunctionalMemory ref = builtMemory();
+    const auto image = builtImage();
+    FunctionalMemory a(image);
+    const FunctionalMemory b(image);
+    // Over the image's first array (pages 0-1) and on into the
+    // layoutZeros() range, whose pages the image never materialized.
+    const Addr base = FunctionalMemory::dataBase + 8;
+    const std::vector<std::uint32_t> vals = ramp32(3 * pageBytes / 4);
+    a.writeArray(base, vals.data(), vals.size());
+    EXPECT_EQ(a.read(base, 4), vals[0]);
+    EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 0x1000u); // kept
+    EXPECT_EQ(a.pagesTouched(), ref.pagesTouched() + 2);
+    EXPECT_EQ(pageBytesOf(b), pageBytesOf(ref));
+    EXPECT_EQ(pageBytesOf(FunctionalMemory(image)), pageBytesOf(ref));
+
+    FunctionalMemory each(image);
+    writeEach32(each, base, vals);
+    EXPECT_EQ(pageBytesOf(a), pageBytesOf(each));
+    EXPECT_EQ(a.pagesTouched(), each.pagesTouched());
+}
+
+TEST(BulkWrite, LayoutHelpersMatchElementWiseWrites)
+{
+    // Sizes around a page of elements, at 64-byte-aligned bases that
+    // drift across page offsets from one helper to the next.
+    for (const std::size_t n : {1u, 511u, 512u, 513u, 1023u, 1024u, 1025u,
+                                5000u}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint64_t> v64(n);
+        std::vector<double> vd(n);
+        for (std::size_t i = 0; i < n; i++) {
+            v64[i] = 0x0123456789abcdefULL * (i + 1);
+            vd[i] = 1.0 / static_cast<double>(i + 3);
+        }
+        const std::vector<std::uint32_t> v32 = ramp32(n);
+
+        FunctionalMemory bulk, each;
+        EXPECT_EQ(layoutArray32(bulk, v32), each.alloc(n * 4, 64));
+        EXPECT_EQ(layoutArray64(bulk, v64), each.alloc(n * 8, 64));
+        EXPECT_EQ(layoutDoubles(bulk, vd), each.alloc(n * 8, 64));
+        EXPECT_EQ(layoutFill32(bulk, n, 0x7ffffff0u), each.alloc(n * 4, 64));
+        Addr at = FunctionalMemory::dataBase;
+        writeEach32(each, at, v32);
+        at = (at + n * 4 + 63) & ~Addr{63};
+        for (std::size_t i = 0; i < n; i++)
+            each.write64(at + i * 8, v64[i]);
+        at = (at + n * 8 + 63) & ~Addr{63};
+        for (std::size_t i = 0; i < n; i++)
+            each.writeDouble(at + i * 8, vd[i]);
+        at = (at + n * 8 + 63) & ~Addr{63};
+        writeEach32(each, at, std::vector<std::uint32_t>(n, 0x7ffffff0u));
+
+        EXPECT_EQ(bulk.pagesTouched(), each.pagesTouched());
+        EXPECT_EQ(bulk.allocTop(), each.allocTop());
+        EXPECT_EQ(pageBytesOf(bulk), pageBytesOf(each));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Allocator bounds
+// ---------------------------------------------------------------------
+
+/** Whether alloc(@p bytes, @p align) on @p m fails as a WorkloadBuild. */
+bool
+allocFails(FunctionalMemory &m, std::uint64_t bytes, std::uint64_t align)
+{
+    const ScopedErrorCapture capture(ErrCode::WorkloadBuild);
+    try {
+        m.alloc(bytes, align);
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::WorkloadBuild);
+        return true;
+    }
+    return false;
+}
+
+TEST(FunctionalMemory, AllocPastTheTopIsFatalNotAWrap)
+{
+    FunctionalMemory m;
+    const Addr a = m.alloc(64);
+    ASSERT_EQ(a, FunctionalMemory::dataBase);
+    // Its end would wrap to just past a, so the next alloc would hand
+    // out a's address again.
+    EXPECT_TRUE(allocFails(m, ~std::uint64_t{0} - 0x3f, 64));
+    EXPECT_EQ(m.allocTop(), a + 64); // the failed request took nothing
+    EXPECT_EQ(m.alloc(64), a + 64);
+}
+
+TEST(FunctionalMemory, AllocMayEndAtTheTopButNotPassIt)
+{
+    FunctionalMemory m;
+    const Addr top = ~Addr{0};
+    m.setAllocTop(top - 0xff); // 2^64 - 0x100
+    EXPECT_TRUE(allocFails(m, 0x100, 1)); // would end exactly at 2^64
+    EXPECT_FALSE(allocFails(m, 0xff, 1)); // ends at 2^64 - 1
+    EXPECT_EQ(m.allocTop(), top);
+    EXPECT_TRUE(allocFails(m, 0, 64)); // rounding up would wrap
+    EXPECT_TRUE(allocFails(m, 1, 1));
+}
+
+TEST(FunctionalMemory, WrappingAllocFailsItsSweepCellAsAWorkloadBuild)
+{
+    const WorkloadSpec wraps{"wraps", "test", [] {
+        WorkloadInstance w = test::streamSum(1 << 10);
+        w.mem->alloc(~std::uint64_t{0} - 0x3f);
+        return w;
+    }};
+    SimConfig config = presets::inorder();
+    config.maxInstructions = 1000;
+    MatrixOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.summary = false;
+    try {
+        runMatrix({wraps}, {config}, opts);
+        FAIL() << "the wrapping alloc did not fail the sweep";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::WorkloadBuild);
+        EXPECT_EQ(e.context().workload, "wraps");
+    }
 }
 
 } // namespace

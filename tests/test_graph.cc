@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "workloads/graph.hh"
 
 namespace svr
@@ -97,6 +98,37 @@ TEST(Graph, ScaleFreeSkewTracksAlpha)
     for (std::uint32_t u = 0; u < light.numNodes; u++)
         max_light = std::max<std::uint64_t>(max_light, light.degree(u));
     EXPECT_GT(max_heavy, max_light);
+}
+
+TEST(Graph, KroneckerThresholdsMatchNextDouble)
+{
+    // makeKronecker compares the raw 53-bit draw k with
+    // T = ceil(p * 2^53) where the definition compares nextDouble(),
+    // which is k * 2^-53, with p: k >= T must hold exactly when
+    // k * 2^-53 >= p, most of all right at T. A double in [0.5, 1),
+    // like each RMAT threshold, is a multiple of 2^-53, so there T is
+    // exactly p * 2^53; below 0.5 (rmatB, 0.1) the ceil rounds.
+    for (const double p : {rmatA, rmatA + rmatB, rmatA + rmatB + rmatC,
+                           rmatB, 0.1}) {
+        SCOPED_TRACE(p);
+        const std::uint64_t t = Rng::drawThreshold(p);
+        ASSERT_GT(t, 0u);
+        ASSERT_LT(t, std::uint64_t{1} << 53);
+        for (const std::uint64_t k : {t - 1, t, t + 1}) {
+            EXPECT_EQ(k >= t, static_cast<double>(k) * 0x1.0p-53 >= p)
+                << "k = T" << static_cast<std::int64_t>(k - t);
+        }
+    }
+    EXPECT_EQ(Rng::drawThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::drawThreshold(1.0), std::uint64_t{1} << 53);
+
+    // Draw for draw on one stream, the integer compare is the
+    // nextDouble() compare.
+    const double p = rmatA + rmatB + rmatC;
+    const std::uint64_t t = Rng::drawThreshold(p);
+    Rng raw(99), ref(99);
+    for (int i = 0; i < 100000; i++)
+        ASSERT_EQ((raw.next() >> 11) < t, ref.nextDouble() < p) << i;
 }
 
 TEST(Graph, LayoutMatchesFigure2)

@@ -25,7 +25,9 @@ root="${1:-.}"
 # The artifact-producing sources: everything whose output is under the
 # byte-identity contract (reports, journals, checkpoints, wire frames,
 # stats, the lint/chain reports themselves). functional_memory.cc is
-# here because snapshotPages() feeds the checkpoint bytes.
+# here because snapshotPages() feeds the checkpoint bytes; rng.cc,
+# graph.cc and workload.cc because every artifact depends on the bytes
+# of the inputs they generate and lay out.
 files=(
     src/sim/report.cc
     src/sim/journal.cc
@@ -38,6 +40,9 @@ files=(
     src/common/io.cc
     src/common/parallel.cc
     src/common/wire.cc
+    src/common/rng.cc
+    src/workloads/graph.cc
+    src/workloads/workload.cc
     src/analysis/verifier.cc
     src/analysis/chains.cc
     src/analysis/chain_xcheck.cc
