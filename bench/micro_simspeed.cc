@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks: simulator throughput (simulated
  * instructions per second) for each core model, the costs of the
  * hottest primitives (functional step, functional memory, cache
- * lookup, MSHR bookkeeping, SVR rounds), and the setup before a sweep
- * (graph input generation, workload builds).
+ * lookup, MSHR bookkeeping, SVR rounds), the setup before a sweep
+ * (graph input generation, workload builds), and one sampled sweep
+ * row.
  *
  * The timing-model benchmarks need fresh simulator state per
  * iteration but must not time its construction. PauseTiming/
@@ -27,6 +28,8 @@
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
 #include "mem/memory_system.hh"
+#include "sim/config.hh"
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
 #include "workloads/graph.hh"
@@ -346,6 +349,44 @@ BM_WorkloadMake(benchmark::State &state, const char *name)
 BENCHMARK_CAPTURE(BM_WorkloadMake, graph, "BFS_KR")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WorkloadMake, hpcdb, "NAS-CG")
+    ->Unit(benchmark::kMillisecond);
+
+// -- Sampled sweep row -------------------------------------------------------
+
+/**
+ * One sampled sweep row at perfbench's graph-sampled-sharded shape
+ * (4M-instruction region, a 1M period, 10k warmup, 20k window) under
+ * InO and SVR16, as runMatrix runs it with one job: the build, the
+ * InO cell fast-forwarding and recording its row's ladder, and the
+ * SVR16 cell restoring it.
+ */
+void
+BM_SampledRow(benchmark::State &state, const char *name)
+{
+    setInformEnabled(false);
+    const WorkloadSpec spec = findWorkload(name);
+    std::vector<SimConfig> configs = {presets::inorder(),
+                                      presets::svrCore(16)};
+    for (SimConfig &c : configs) {
+        c.maxInstructions = 4000000;
+        c.sampling.sampleEvery = 1000000;
+        c.sampling.sampleWindow = 20000;
+        c.sampling.warmup = 10000;
+    }
+    MatrixOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.summary = false;
+    spec.make(); // generate (and cache) the graph input untimed
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        MatrixTiming timing;
+        benchmark::DoNotOptimize(runMatrix({spec}, configs, opts, &timing));
+        instructions += timing.instructions;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+}
+BENCHMARK_CAPTURE(BM_SampledRow, graph, "BFS_KR")
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

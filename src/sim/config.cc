@@ -76,11 +76,13 @@ validateConfig(const SimConfig &config)
         invalid(config, "SVR vector length/SRF regs/SVU width/PRM "
                         "timeout must be nonzero");
     }
-    if (config.sampling.enabled()) {
-        if (config.sampling.sampleWindow == 0)
+    const SamplingParams &sp = config.sampling;
+    if (sp.enabled()) {
+        if (sp.sampleWindow == 0)
             invalid(config, "sampling needs a nonzero sample window");
-        if (config.sampling.sampleWindow + config.sampling.warmup >
-            config.sampling.sampleEvery) {
+        // Written so that no sum can wrap past 2^64.
+        if (sp.sampleWindow > sp.sampleEvery ||
+            sp.warmup > sp.sampleEvery - sp.sampleWindow) {
             invalid(config, "sampling warmup + window must fit inside "
                             "the sampling period");
         }

@@ -9,6 +9,7 @@
 #include "common/parallel.hh"
 #include "common/stats.hh"
 #include "sim/ledger.hh"
+#include "sim/sampled_sim.hh"
 
 namespace svr
 {
@@ -27,9 +28,13 @@ CellRows::fork(std::size_t wi)
 {
     Row &row = rows[wi];
     std::lock_guard<std::mutex> lock(row.mtx);
-    if (!row.image)
+    if (!row.image) {
         row.image.emplace(workloads[wi].make());
-    return row.image->fork();
+        row.ladder = std::make_shared<FastForwardLadder>();
+    }
+    WorkloadInstance w = row.image->fork();
+    w.ladder = row.ladder;
+    return w;
 }
 
 bool
@@ -40,6 +45,7 @@ CellRows::finish(std::size_t idx)
     if (--row.cellsLeft > 0)
         return false;
     row.image.reset();
+    row.ladder.reset();
     return true;
 }
 

@@ -19,6 +19,7 @@
 #define SVR_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -127,9 +128,12 @@ struct MatrixTiming
  * (WorkloadSpec::make) once, when the first of its cells runs, and
  * every cell of its row simulates a private copy-on-write fork of that
  * build (WorkloadImage). Only successful builds are kept: a failing
- * factory is called again on every attempt of every cell. A row's
- * build is dropped when its last cell finishes. Safe to use from
- * concurrent cells.
+ * factory is called again on every attempt of every cell. Each row
+ * also fast-forwards once: its forks share one FastForwardLadder
+ * (sim/sampled_sim.hh), so a sampled cell restores the window starts
+ * a sibling has already reached instead of executing up to them again.
+ * A row's build and ladder are dropped when its last cell finishes.
+ * Safe to use from concurrent cells.
  */
 class CellRows
 {
@@ -160,13 +164,17 @@ class CellRows
     bool finish(std::size_t idx);
 
   private:
-    /** A fork of row @p wi's build, building it first if needed. */
+    /**
+     * A fork of row @p wi's build, building it first if needed, that
+     * carries the row's ladder.
+     */
     WorkloadInstance fork(std::size_t wi);
 
     struct Row
     {
         std::mutex mtx;
         std::optional<WorkloadImage> image;
+        std::shared_ptr<FastForwardLadder> ladder;
         std::size_t cellsLeft = 0;
     };
 

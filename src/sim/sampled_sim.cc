@@ -13,14 +13,60 @@
 namespace svr
 {
 
-std::uint64_t
-fastForward(Executor &exec, std::uint64_t n)
+std::optional<FastForwardLadder::Rung>
+FastForwardLadder::find(SeqNum seq) const
 {
-    return exec.run(n);
+    std::lock_guard<std::mutex> lock(mtx);
+    const auto it = rungs.find(seq);
+    if (it == rungs.end())
+        return std::nullopt;
+    return it->second;
+}
+
+void
+FastForwardLadder::publish(SeqNum seq, Rung rung)
+{
+    std::lock_guard<std::mutex> lock(mtx);
+    rungs.try_emplace(seq, std::move(rung));
 }
 
 namespace
 {
+
+/**
+ * Advance @p exec (over @p mem) by up to @p n instructions: restore
+ * the rung at the target from @p ladder if it has one, else execute
+ * functionally and, on reaching the target unhalted, publish it there.
+ * Returns the number of instructions advanced (short when the program
+ * halts); adds those it executed to @p r.fastForwarded.
+ */
+std::uint64_t
+fastForward(Executor &exec, FunctionalMemory &mem, FastForwardLadder *ladder,
+            std::uint64_t n, SimResult &r)
+{
+    if (n == 0)
+        return 0;
+    const SeqNum target = exec.instructionsExecuted() + n;
+    if (ladder) {
+        if (std::optional<FastForwardLadder::Rung> rung =
+                ladder->find(target)) {
+            exec.importArchState(rung->arch);
+            mem = FunctionalMemory(std::move(rung->mem));
+            return n;
+        }
+    }
+    const std::uint64_t done = exec.run(n);
+    r.fastForwarded += done;
+    if (ladder && done == n && !exec.halted()) {
+        // Freeze the memory into the rung's image and go on on a fork
+        // of it: the image is never written again.
+        auto image =
+            std::make_shared<const FunctionalMemory::Image>(std::move(mem));
+        mem = FunctionalMemory(image);
+        ladder->publish(target, {exec.exportArchState(), std::move(image)});
+    }
+    return done;
+}
 
 /** Every memory-side counter a SimResult reports, snapshot-able. */
 struct MemCounters
@@ -176,7 +222,8 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         const std::uint64_t ff_target =
             period - window_target - warmup_target;
 
-        const std::uint64_t ffed = fastForward(exec, ff_target);
+        const std::uint64_t ffed =
+            fastForward(exec, *w.mem, w.ladder.get(), ff_target, r);
         done += ffed;
         if (ffed < ff_target || exec.halted()) {
             unsampled += ffed;

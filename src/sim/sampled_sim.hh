@@ -20,14 +20,38 @@
  * sampleWindow both cover the whole region, the single "sample" is an
  * ordinary full-detail run and every counter matches simulate() with
  * sampling off bit for bit (asserted by tests/test_sampled_sim.cc).
+ *
+ * Fast-forward once per sweep row. The architectural state at a
+ * detailed window's start does not depend on the config: every core is
+ * execute-driven (one Executor::step() per committed instruction,
+ * stopping at exactly its window's instruction count), the timing
+ * models, SVR and IMP only read functional memory, and every cell of a
+ * row starts from the same build. So the registers and memory at
+ * absolute instruction count S are the same for every cell that
+ * reaches S, however it got there. A row's FastForwardLadder keeps
+ * them: one rung per window start S, holding the ExecArchState and a
+ * frozen copy-on-write FunctionalMemory::Image. The first cell to
+ * fast-forward to S freezes its memory into the rung's image, goes on
+ * on a fork of it, and publishes the rung. Every later cell that is
+ * about to fast-forward to S restores the rung in place instead (its
+ * executor imports the state, its memory becomes a fork of the image).
+ * A missing rung (a program that halts first, a sibling cell still
+ * fast-forwarding, a row split across fabric leases) means a plain
+ * fast-forward, so results never depend on which cell records.
  */
 
 #ifndef SVR_SIM_SAMPLED_SIM_HH
 #define SVR_SIM_SAMPLED_SIM_HH
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
+#include "core/executor.hh"
+#include "mem/functional_memory.hh"
 #include "sim/simulator.hh"
 
 namespace svr
@@ -45,10 +69,36 @@ struct SampleWindow
 };
 
 /**
- * Advance @p exec by up to @p n instructions functionally (no timing).
- * Returns the number actually stepped (short when the program halts).
+ * The window starts one sweep row's cells have fast-forwarded to, each
+ * with the machine state there, keyed by absolute instruction count
+ * (see the file comment). Rungs are immutable once published, and
+ * publishing never waits for a reader: any thread may use a ladder.
+ * A rung costs the pages the fast-forward before it wrote (each image
+ * shares every older page with the rung below it) plus one page
+ * directory per 2 MiB region of the footprint.
  */
-std::uint64_t fastForward(Executor &exec, std::uint64_t n);
+class FastForwardLadder
+{
+  public:
+    struct Rung
+    {
+        ExecArchState arch;
+        std::shared_ptr<const FunctionalMemory::Image> mem;
+    };
+
+    /** The rung at instruction count @p seq, if one was published. */
+    std::optional<Rung> find(SeqNum seq) const;
+
+    /**
+     * Publish @p rung at @p seq. A rung already there is kept: every
+     * publisher at one seq holds the same state.
+     */
+    void publish(SeqNum seq, Rung rung);
+
+  private:
+    mutable std::mutex mtx;
+    std::map<SeqNum, Rung> rungs;
+};
 
 /**
  * Run @p config on @p w with sampling (config.sampling must be
@@ -59,7 +109,9 @@ std::uint64_t fastForward(Executor &exec, std::uint64_t n);
  * estimate. A commit hook in @p hooks is rejected with
  * SimError(ConfigInvalid): lockstep validation needs every commit,
  * which sampling by construction skips. @p windows_out, when non-null,
- * receives the per-window measurements.
+ * receives the per-window measurements. With a ladder in @p w
+ * (w.ladder, set by the sweep engine's CellRows), each fast-forward
+ * restores or records a rung of it; the result is the same either way.
  */
 SimResult simulateSampled(const SimConfig &config, const WorkloadInstance &w,
                           const SimHooks &hooks = {},

@@ -110,6 +110,15 @@ struct SimResult
      */
     double hostMillis = 0.0;
 
+    /**
+     * Instructions a sampled run's executor fast-forwarded itself, not
+     * counting the fast-forwards it skipped by restoring its sweep
+     * row's ladder (sim/sampled_sim.hh). Host-side like hostMillis and
+     * kept out of every report: a sibling cell racing to the same rung
+     * can change it, never the results.
+     */
+    std::uint64_t fastForwarded = 0;
+
     double ipc() const { return core.ipc(); }
     double cpi() const { return core.cpi(); }
     /** Simulated instructions per host second, in millions. */

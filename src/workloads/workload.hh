@@ -25,12 +25,20 @@
 namespace svr
 {
 
+class FastForwardLadder;
+
 /** One ready-to-simulate workload instance. */
 struct WorkloadInstance
 {
     std::string name;
     std::shared_ptr<FunctionalMemory> mem;
     std::shared_ptr<Program> program;
+    /**
+     * The fast-forward ladder of the sweep row this instance is a fork
+     * of (sim/sampled_sim.hh), shared with the row's other cells; null
+     * outside a sweep, where a sampled run fast-forwards on its own.
+     */
+    std::shared_ptr<FastForwardLadder> ladder = nullptr;
 };
 
 /**

@@ -23,6 +23,7 @@
 #include "sim/experiment.hh"
 #include "sim/fabric.hh"
 #include "sim/journal.hh"
+#include "sim/report.hh"
 #include "workloads/suites.hh"
 
 using namespace svr;
@@ -505,6 +506,30 @@ TEST(FabricEndToEnd, LeasesSpanningRowsMatchThreadEngine)
     ASSERT_EQ(fab.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); i++)
         EXPECT_EQ(journalLine(fab[i]), journalLine(ref[i])) << i;
+}
+
+TEST(FabricEndToEnd, SampledLeasesSplittingRowsMatchThreadEngine)
+{
+    // Sampled cells restore their row's fast-forward ladder within a
+    // lease; a lease that holds part of a row fast-forwards on its own
+    // (chunk 1 always, chunk 3 for every other row). The artifact is
+    // the same either way.
+    for (const unsigned chunk : {1u, 3u}) {
+        E2E e("ino,svr16");
+        SamplingParams sp;
+        sp.sampleEvery = 1000;
+        sp.sampleWindow = 200;
+        sp.warmup = 100;
+        e.spec.setSampling(sp);
+        std::vector<WorkloadSpec> unused;
+        e.spec.materialize(unused, e.configs);
+        ASSERT_TRUE(e.configs[0].sampling.enabled());
+        e.chunk = chunk;
+        const std::vector<SimResult> ref = e.reference();
+        const std::string tag = "sampled" + std::to_string(chunk);
+        const std::vector<SimResult> fab = e.fabric(2, {}, tag.c_str());
+        EXPECT_EQ(toJson(fab), toJson(ref)) << "chunk " << chunk;
+    }
 }
 
 TEST(FabricLease, BuildsEachRowOfALeaseOnce)

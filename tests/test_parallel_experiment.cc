@@ -15,6 +15,12 @@
  *    (every cell simulates a copy-on-write fork of that build, and
  *    gets the results a fresh build gives), while a failing factory
  *    is retried and recorded exactly as with one build per cell;
+ *  - one fast-forward per workload row: a sampled matrix gives the
+ *    bytes of cells simulated without the row's ladder, for 1 and 4
+ *    jobs (so a ThreadSanitizer build covers racing publishers), for
+ *    programs that halt mid-region and for degenerate sampling; the
+ *    second cell of a row restores every rung and fast-forwards
+ *    nothing, also on an injected-fault retry;
  *  - golden-stats snapshots for three representative cells, pinning
  *    IPC, cache misses, DRAM transfers, and prefetch accuracy so
  *    timing-model drift is caught in CI, not in a regenerated paper
@@ -42,9 +48,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "core/executor.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "test_helpers.hh"
@@ -516,6 +524,211 @@ TEST(SharedBuilds, FailingBuildIsRetriedAndRecordedPerCell)
                 EXPECT_EQ(res[c].attempts, attempts);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One fast-forward per workload row
+// ---------------------------------------------------------------------
+
+/**
+ * @p cfgs sampled over @p region instructions: five periods, each a
+ * fast-forward, a detailed warmup and a measured window.
+ */
+std::vector<SimConfig>
+sampled(std::vector<SimConfig> cfgs, std::uint64_t region)
+{
+    for (auto &c : cfgs) {
+        c.maxInstructions = region;
+        c.sampling.sampleEvery = region / 5;
+        c.sampling.sampleWindow = region / 50;
+        c.sampling.warmup = region / 100;
+    }
+    return cfgs;
+}
+
+/** Every cell simulated on a fresh fork of its build, with no ladder. */
+std::vector<SimResult>
+withoutLadder(const std::vector<WorkloadSpec> &specs,
+              const std::vector<SimConfig> &configs)
+{
+    std::vector<SimResult> out;
+    for (const WorkloadSpec &spec : specs) {
+        const WorkloadImage image(spec.make());
+        for (const SimConfig &c : configs) {
+            const WorkloadInstance w = image.fork();
+            EXPECT_EQ(w.ladder, nullptr);
+            out.push_back(simulate(c, w));
+            out.back().workload = spec.name;
+        }
+    }
+    return out;
+}
+
+TEST(RowLadder, SampledMatrixMatchesRunsWithoutLadder)
+{
+    const std::vector<SimConfig> configs = sampled(
+        {presets::inorder(), presets::impCore(), presets::outOfOrder(),
+         presets::svrCore(16), presets::svrCore(64)},
+        40000);
+    const std::vector<SimResult> ref_cells =
+        withoutLadder(quickSuite(), configs);
+    const std::string ref = toJson(ref_cells);
+    std::uint64_t ref_ffed = 0;
+    for (const SimResult &r : ref_cells)
+        ref_ffed += r.fastForwarded;
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::vector<SimResult> res = flattenMatrix(
+            runMatrix(quickSuite(), configs, quietOptions(jobs)));
+        const std::string got = toJson(res);
+        EXPECT_TRUE(got == ref) << "jobs " << jobs << ":\n"
+                                << firstJsonDiff(ref, got);
+        std::uint64_t ffed = 0;
+        for (const SimResult &r : res)
+            ffed += r.fastForwarded;
+        EXPECT_LT(ffed, ref_ffed) << "jobs " << jobs << ": no rung restored";
+    }
+}
+
+/**
+ * A program that halts after @p iters iterations of a loop whose
+ * loads read what the previous iteration stored and then gather at an
+ * address computed from that value, so a wrongly restored memory
+ * changes the timing.
+ */
+WorkloadSpec
+haltingSpec(const char *name, std::int64_t iters)
+{
+    return {name, "test", [name, iters] {
+                auto mem = std::make_shared<FunctionalMemory>();
+                const Addr data = mem->alloc(1 << 16, 64);
+                const Addr table = mem->alloc(1 << 16, 64);
+                ProgramBuilder b(name);
+                b.li(1, data);
+                b.li(2, static_cast<std::uint64_t>(iters));
+                b.li(3, 0);
+                b.li(8, table);
+                b.label("loop");
+                b.ld(4, 1, 0);
+                b.addi(4, 4, 77);
+                b.sd(4, 1, 64);
+                b.andi(6, 4, 0xffc0);
+                b.add(7, 8, 6);
+                b.ld(9, 7, 0);
+                b.addi(1, 1, 64);
+                b.addi(3, 3, 1);
+                b.cmp(3, 2);
+                b.blt("loop");
+                b.halt();
+                WorkloadInstance w;
+                w.name = name;
+                w.mem = mem;
+                w.program = std::make_shared<Program>(b.build());
+                return w;
+            }};
+}
+
+/** Instructions @p spec executes before it halts. */
+std::uint64_t
+haltsAfter(const WorkloadSpec &spec)
+{
+    const WorkloadInstance w = spec.make();
+    Executor exec(*w.program, *w.mem);
+    exec.run(~std::uint64_t{0});
+    EXPECT_TRUE(exec.halted());
+    return exec.instructionsExecuted();
+}
+
+TEST(RowLadder, ProgramsHaltingMidRegionMatchRunsWithoutLadder)
+{
+    // Periods of 1000: fast-forward 800, warmup 100, window 100.
+    std::vector<SimConfig> configs = {presets::inorder(),
+                                      presets::outOfOrder(),
+                                      presets::svrCore(16)};
+    for (auto &c : configs) {
+        c.maxInstructions = 1 << 20; // far beyond either program
+        c.sampling.sampleEvery = 1000;
+        c.sampling.sampleWindow = 100;
+        c.sampling.warmup = 100;
+    }
+    const std::vector<WorkloadSpec> specs = {
+        haltingSpec("halt-in-ff", 330), haltingSpec("halt-in-window", 290)};
+    ASSERT_LT(haltsAfter(specs[0]) % 1000, 800u);
+    ASSERT_GE(haltsAfter(specs[1]) % 1000, 900u);
+
+    const std::string ref = toJson(withoutLadder(specs, configs));
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::string got =
+            toJson(flattenMatrix(runMatrix(specs, configs,
+                                           quietOptions(jobs))));
+        EXPECT_TRUE(got == ref) << "jobs " << jobs << ":\n"
+                                << firstJsonDiff(ref, got);
+    }
+}
+
+TEST(RowLadder, DegenerateSamplingMatchesFullDetail)
+{
+    // Window == period == region: no fast-forward, so no rung, and the
+    // single window is the full-detail run bit for bit.
+    std::vector<SimConfig> full = smallConfigs(), degenerate = full;
+    for (auto &c : degenerate) {
+        c.sampling.sampleEvery = c.maxInstructions;
+        c.sampling.sampleWindow = c.maxInstructions;
+    }
+    std::vector<std::atomic<unsigned>> calls(3);
+    const std::vector<WorkloadSpec> specs = countedSpecs(calls);
+    const std::vector<SimResult> ref = withoutLadder(specs, full);
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::vector<SimResult> res = flattenMatrix(
+            runMatrix(specs, degenerate, quietOptions(jobs)));
+        ASSERT_EQ(res.size(), ref.size());
+        for (std::size_t i = 0; i < res.size(); i++) {
+            EXPECT_TRUE(res[i].sampled);
+            EXPECT_EQ(res[i].fastForwarded, 0u);
+            expectResultEqual(res[i], ref[i]);
+        }
+    }
+}
+
+TEST(RowLadder, SecondCellOfARowRestoresEveryRung)
+{
+    const std::vector<SimConfig> configs =
+        sampled({presets::inorder(), presets::svrCore(16)}, 40000);
+    const std::vector<WorkloadSpec> specs = {findWorkload("BFS_UR"),
+                                             findWorkload("Camel")};
+    const std::vector<SimResult> ref = withoutLadder(specs, configs);
+
+    // Serially the first cell of a row fast-forwards and records; the
+    // second restores every rung and fast-forwards nothing. An
+    // injected throw on the second cell's first attempt changes
+    // nothing: its retry restores too.
+    for (const char *fault : {"", "throw@*/SVR16:1"}) {
+        MatrixOptions opts = quietOptions(1);
+        opts.faultPlan = FaultPlan::parse(fault);
+        opts.maxAttempts = 2;
+        const std::vector<MatrixRow> rows =
+            runMatrix(specs, configs, opts);
+        ASSERT_EQ(rows.size(), specs.size());
+        for (std::size_t wi = 0; wi < rows.size(); wi++) {
+            const SimResult &first = rows[wi].results[0];
+            const SimResult &second = rows[wi].results[1];
+            const std::string cell = rows[wi].workload + " '" + fault + "'";
+            EXPECT_EQ(first.fastForwarded, ref[wi * 2].fastForwarded)
+                << cell;
+            EXPECT_EQ(second.sampleWindows, 5u) << cell;
+            EXPECT_EQ(second.fastForwarded, 0u) << cell;
+            EXPECT_EQ(second.attempts, *fault ? 2u : 1u) << cell;
+            expectResultEqual(first, ref[wi * 2]);
+            expectResultEqual(second, ref[wi * 2 + 1]);
+        }
+    }
+
+    // Without a ladder every run fast-forwards each period itself.
+    for (const SimResult &r : ref) {
+        EXPECT_EQ(r.fastForwarded,
+                  r.core.instructions - r.sampleWindows *
+                                            (configs[0].sampling.warmup +
+                                             configs[0].sampling.sampleWindow));
     }
 }
 

@@ -20,6 +20,7 @@
 #include "core/commit_hook.hh"
 #include "isa/program.hh"
 #include "mem/functional_memory.hh"
+#include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
 #include "sim/sampled_sim.hh"
@@ -296,6 +297,37 @@ TEST(SampledSim, InvalidParamsRejected)
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), ErrCode::ConfigInvalid);
     }
+}
+
+TEST(SampledSim, WarmupThatWrapsThePeriodSumIsRejected)
+{
+    // window + warmup wraps past 2^64 to 1, which a summing check
+    // would take for a period that fits.
+    SimConfig config = presets::inorder();
+    config.maxInstructions = 200000;
+    config.sampling.sampleEvery = 100000;
+    config.sampling.sampleWindow = 2;
+    config.sampling.warmup = ~std::uint64_t{0};
+    try {
+        simulate(config, samplingWorkload());
+        FAIL() << "wrapping warmup accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::ConfigInvalid);
+    }
+
+    // A sweep cell with it is a ConfigInvalid failure record.
+    const std::vector<WorkloadSpec> specs = {
+        {"stride", "test", [] { return samplingWorkload(); }}};
+    MatrixOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.summary = false;
+    opts.keepGoing = true;
+    const std::vector<SimResult> res =
+        flattenMatrix(runMatrix(specs, {config}, opts));
+    ASSERT_EQ(res.size(), 1u);
+    EXPECT_TRUE(res[0].failed);
+    EXPECT_EQ(res[0].errCode, "ConfigInvalid");
 }
 
 TEST(SampledSim, CommitHookIncompatible)

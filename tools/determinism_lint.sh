@@ -27,7 +27,10 @@ root="${1:-.}"
 # stats, the lint/chain reports themselves). functional_memory.cc is
 # here because snapshotPages() feeds the checkpoint bytes; rng.cc,
 # graph.cc and workload.cc because every artifact depends on the bytes
-# of the inputs they generate and lay out.
+# of the inputs they generate and lay out; sampled_sim.cc because a
+# sweep row's cells restore the fast-forward ladder it keeps, so a
+# rung keyed or chosen by anything but the instruction count would
+# leak scheduling into every sampled result.
 files=(
     src/sim/report.cc
     src/sim/journal.cc
@@ -35,6 +38,7 @@ files=(
     src/sim/experiment.cc
     src/sim/fabric.cc
     src/sim/ledger.cc
+    src/sim/sampled_sim.cc
     src/mem/functional_memory.cc
     src/common/stats.cc
     src/common/io.cc
