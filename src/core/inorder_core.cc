@@ -50,14 +50,11 @@ InOrderCore::run(Executor &exec, std::uint64_t max_instrs,
     const std::vector<StaticOpInfo> opInfo =
         buildStaticOpInfo(exec.program());
 
-    // Warmup boundary: at warmup_at committed instructions, snapshot
-    // the counters and subtract the snapshot at the end. Counters
-    // themselves keep running monotonically through the boundary so
-    // the cycle domain (and every ready-time in flight) is continuous.
+    // Warmup boundary (see core/measure.hh): at warmup_at committed
+    // instructions, hand the counters to the measure hook. They keep
+    // running monotonically through it, so the cycle domain (and every
+    // ready-time in flight) is continuous.
     const std::uint64_t warmup_at = measure ? measure->warmupInstrs : 0;
-    CoreStats base;
-    Cycle base_cycles = 0;
-    bool rebaselined = false;
 
     std::array<Cycle, numTrackedRegs> regReady{};
     std::array<ValueSource, numTrackedRegs> regSource{};
@@ -240,16 +237,15 @@ InOrderCore::run(Executor &exec, std::uint64_t max_instrs,
         // warmup_at == 0 can never match here (instructions >= 1), so
         // an absent window costs one predictable compare per commit.
         if (stats.instructions == warmup_at) [[unlikely]] {
-            base = stats;
-            base_cycles = issue_cycle + (slots_used ? 1 : 0);
+            CoreStats base = stats;
+            base.cycles = issue_cycle + (slots_used ? 1 : 0);
             if (runahead) {
                 base.transientScalars = runahead->transientScalars();
                 base.svrPrefetches = runahead->prefetchesIssued();
                 base.svrRounds = runahead->runaheadRounds();
             }
-            rebaselined = true;
             if (measure->onMeasureStart)
-                measure->onMeasureStart();
+                measure->onMeasureStart(base);
         }
     }
 
@@ -259,8 +255,6 @@ InOrderCore::run(Executor &exec, std::uint64_t max_instrs,
         stats.svrPrefetches = runahead->prefetchesIssued();
         stats.svrRounds = runahead->runaheadRounds();
     }
-    if (rebaselined)
-        subtractBaseline(stats, base, base_cycles);
     return stats;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Measurement windowing for the timing cores: run warmup instructions
- * through full detailed timing, then rebaseline the returned stats so
- * only the instructions after the warmup are counted. The sampled
- * simulator (sim/sampled_sim.hh) uses this to warm caches, branch
- * predictors, TLBs, and the SVR engine before each timing sample.
+ * through full detailed timing and report the counters at the point
+ * the measurement starts, so the caller can count only the
+ * instructions after the warmup. The sampled simulator
+ * (sim/sampled_sim.hh) uses this to warm caches, branch predictors,
+ * TLBs, and the SVR engine before each timing sample.
  */
 
 #ifndef SVR_CORE_MEASURE_HH
@@ -22,51 +23,26 @@ namespace svr
  * Optional measurement window for one core run. The core commits
  * @p warmupInstrs instructions with full timing first (warming every
  * microarchitectural structure in the machine), then fires
- * @p onMeasureStart exactly once and rebaselines: the CoreStats it
- * returns cover only the instructions committed after the warmup.
- * Cycle numbering stays continuous across the boundary, so in-flight
- * state (scoreboard ready times, MSHRs, DRAM queues) carries over
- * exactly as in an unwindowed run.
+ * @p onMeasureStart exactly once with its stats at that boundary
+ * (cycles by the same end-of-run formula the core uses). The stats
+ * the run returns still cover the whole run: the caller subtracts the
+ * boundary snapshot (subtractResult(), sim/result_fields.hh). The
+ * counters, and the cycle numbering, run on through the boundary, so
+ * in-flight state (scoreboard ready times, MSHRs, DRAM queues)
+ * carries over exactly as in an unwindowed run.
  */
 struct MeasureWindow
 {
-    /** Committed instructions excluded from the returned stats. */
+    /** Committed instructions before the measurement starts. */
     std::uint64_t warmupInstrs = 0;
 
     /**
      * Fired once, right after the warmup's last instruction fully
      * committed (including its memory-system accesses), so callers can
-     * snapshot memory-side counters at the measurement boundary.
+     * snapshot memory-side counters at the same boundary.
      */
-    std::function<void()> onMeasureStart;
+    std::function<void(const CoreStats &)> onMeasureStart;
 };
-
-/**
- * Rebaseline @p stats against the warmup-boundary snapshot @p base:
- * every counter becomes (end - boundary), and cycles are measured from
- * @p base_cycles (the cycle count at the boundary, computed with the
- * same end-of-run formula the core uses). Shared by both timing cores.
- */
-inline void
-subtractBaseline(CoreStats &stats, const CoreStats &base, Cycle base_cycles)
-{
-    stats.instructions -= base.instructions;
-    stats.cycles = stats.cycles > base_cycles
-                       ? stats.cycles - base_cycles
-                       : 0;
-    stats.loads -= base.loads;
-    stats.stores -= base.stores;
-    stats.branches -= base.branches;
-    stats.branchMispredicts -= base.branchMispredicts;
-    stats.transientScalars -= base.transientScalars;
-    stats.svrPrefetches -= base.svrPrefetches;
-    stats.svrRounds -= base.svrRounds;
-    stats.stackL2 -= base.stackL2;
-    stats.stackDram -= base.stackDram;
-    stats.stackBranch -= base.stackBranch;
-    stats.stackSvu -= base.stackSvu;
-    stats.stackOther -= base.stackOther;
-}
 
 } // namespace svr
 

@@ -46,14 +46,11 @@ OoOCore::run(Executor &exec, std::uint64_t max_instrs,
     const std::vector<StaticOpInfo> opInfo =
         buildStaticOpInfo(exec.program());
 
-    // Warmup boundary: snapshot-and-subtract (see core/measure.hh).
-    // The live counters keep running — the ROB/RS/LSQ rings below are
-    // indexed by stats.instructions, so resetting it mid-run would
-    // corrupt window occupancy.
+    // Warmup boundary (see core/measure.hh). The live counters keep
+    // running through it — the ROB/RS/LSQ rings below are indexed by
+    // stats.instructions, so resetting it mid-run would corrupt window
+    // occupancy.
     const std::uint64_t warmup_at = measure ? measure->warmupInstrs : 0;
-    CoreStats base;
-    Cycle base_cycles = 0;
-    bool rebaselined = false;
 
     std::array<Cycle, numTrackedRegs> regReady{};
     std::array<ValueSource, numTrackedRegs> regSource{};
@@ -258,17 +255,14 @@ OoOCore::run(Executor &exec, std::uint64_t max_instrs,
         stats.instructions++;
 
         if (stats.instructions == warmup_at) [[unlikely]] {
-            base = stats;
-            base_cycles = commit_cycle + (commit_slots ? 1 : 0);
-            rebaselined = true;
+            CoreStats base = stats;
+            base.cycles = commit_cycle + (commit_slots ? 1 : 0);
             if (measure->onMeasureStart)
-                measure->onMeasureStart();
+                measure->onMeasureStart(base);
         }
     }
 
     stats.cycles = commit_cycle + (commit_slots ? 1 : 0);
-    if (rebaselined)
-        subtractBaseline(stats, base, base_cycles);
     return stats;
 }
 

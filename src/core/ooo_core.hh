@@ -54,9 +54,9 @@ class OoOCore
      * Run until @p max_instrs commit or the program halts. A nonzero
      * budget in @p wd raises SimError(CycleBudgetExceeded /
      * NoForwardProgress) when exceeded. When @p measure has a nonzero
-     * warmup, the first measure->warmupInstrs committed instructions
-     * (which count toward @p max_instrs) are excluded from the
-     * returned stats; see core/measure.hh.
+     * warmup, its hook receives the stats after the first
+     * measure->warmupInstrs commits (which count toward
+     * @p max_instrs); see core/measure.hh.
      */
     CoreStats run(Executor &exec, std::uint64_t max_instrs,
                   const WatchdogParams &wd = {},

@@ -277,22 +277,16 @@ double
 MemorySystem::l1PrefetchAccuracy(PrefetchOrigin origin) const
 {
     const auto i = static_cast<unsigned>(origin);
-    const std::uint64_t used = l1dCache.prefetchFirstUse[i];
-    const std::uint64_t unused = l1dCache.prefetchEvictedUnused[i];
-    if (used + unused == 0)
-        return 1.0;
-    return static_cast<double>(used) / static_cast<double>(used + unused);
+    return prefetchAccuracy(l1dCache.prefetchFirstUse[i],
+                            l1dCache.prefetchEvictedUnused[i]);
 }
 
 double
 MemorySystem::llcPrefetchAccuracy(PrefetchOrigin origin) const
 {
     const auto i = static_cast<unsigned>(origin);
-    const std::uint64_t used = l2Cache.prefetchFirstUse[i];
-    const std::uint64_t unused = l2Cache.prefetchEvictedUnused[i];
-    if (used + unused == 0)
-        return 1.0;
-    return static_cast<double>(used) / static_cast<double>(used + unused);
+    return prefetchAccuracy(l2Cache.prefetchFirstUse[i],
+                            l2Cache.prefetchEvictedUnused[i]);
 }
 
 std::uint64_t

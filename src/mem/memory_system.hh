@@ -105,6 +105,19 @@ struct DramTraffic
 };
 
 /**
+ * Prefetch accuracy from @p used (first demand use) and @p unused
+ * (evicted unused) prefetched lines: used / (used + unused), 1.0 when
+ * neither happened.
+ */
+inline double
+prefetchAccuracy(std::uint64_t used, std::uint64_t unused)
+{
+    if (used + unused == 0)
+        return 1.0;
+    return static_cast<double>(used) / static_cast<double>(used + unused);
+}
+
+/**
  * The memory hierarchy. All timing questions ("when is this load's
  * value available?") are answered by access(); the functional value
  * itself lives in FunctionalMemory and is resolved by the Executor.

@@ -78,9 +78,10 @@ namespace svr
  * Bumped on any incompatible wire-grammar change. v2: CRC32-framed
  * transport (common/wire.hh), WELCOME carries the lease timeout,
  * HELLO carries an optional rejoin token, RESULT can be answered
- * STALE (lease fencing).
+ * STALE (lease fencing). v3: RESULT carries a J2 journal record, its
+ * fields in result field table order (sim/result_fields.hh).
  */
-constexpr unsigned fabricProtocolVersion = 2;
+constexpr unsigned fabricProtocolVersion = 3;
 
 /**
  * Everything a worker needs to rebuild the coordinator's exact cell

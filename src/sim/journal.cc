@@ -11,6 +11,7 @@
 #include "common/io.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "sim/result_fields.hh"
 
 namespace svr
 {
@@ -27,6 +28,13 @@ putDouble(std::ostringstream &os, double v)
     os << ' ' << buf;
 }
 
+/** Stored rows, the sampling ones only in a sampled ("R2") record. */
+bool
+journaled(const ResultField &f, bool sampled)
+{
+    return f.stored() && (f.show != Show::Sampled || sampled);
+}
+
 [[noreturn]] void
 ioError(const char *op, const std::string &path, int err)
 {
@@ -38,11 +46,10 @@ std::string
 headerLine(const SweepKey &key)
 {
     std::ostringstream os;
-    os << "J1 " << escapeField(key.suite) << ' '
+    os << "J2 " << escapeField(key.suite) << ' '
        << escapeField(key.configs) << ' ' << key.window << ' '
        << key.seed;
-    // Appended only when sampling is on: a full-detail sweep's header
-    // stays byte-identical to the original J1 format.
+    // Appended only when sampling is on.
     if (!key.sampling.empty())
         os << ' ' << escapeField(key.sampling);
     return os.str();
@@ -96,34 +103,13 @@ journalLine(const SimResult &r)
     os << (r.sampled ? "R2 " : "R1 ") << escapeField(r.workload) << ' '
        << escapeField(r.config) << ' ' << (r.failed ? 1 : 0) << ' '
        << r.attempts << ' ' << escapeField(r.errCode);
-    os << ' ' << r.core.instructions << ' ' << r.core.cycles << ' '
-       << r.core.loads << ' ' << r.core.stores << ' ' << r.core.branches
-       << ' ' << r.core.branchMispredicts << ' '
-       << r.core.transientScalars << ' ' << r.core.svrPrefetches << ' '
-       << r.core.svrRounds << ' ' << r.core.stackL2 << ' '
-       << r.core.stackDram << ' ' << r.core.stackBranch << ' '
-       << r.core.stackSvu << ' ' << r.core.stackOther;
-    os << ' ' << r.l1dHits << ' ' << r.l1dMisses << ' ' << r.l2Hits
-       << ' ' << r.l2Misses << ' ' << r.dramTransfers << ' '
-       << r.traffic.demandData << ' ' << r.traffic.demandIfetch << ' '
-       << r.traffic.prefStride << ' ' << r.traffic.prefSvr << ' '
-       << r.traffic.prefImp << ' ' << r.traffic.writebacks << ' '
-       << r.tlbWalks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        os << ' ' << r.prefIssued[i];
-    putDouble(os, r.svrAccuracyLlc);
-    putDouble(os, r.impAccuracyLlc);
-    putDouble(os, r.strideAccuracyLlc);
-    putDouble(os, r.energy.coreStatic);
-    putDouble(os, r.energy.coreDynamic);
-    putDouble(os, r.energy.svrDynamic);
-    putDouble(os, r.energy.svrStatic);
-    putDouble(os, r.energy.cacheDynamic);
-    putDouble(os, r.energy.dramStatic);
-    putDouble(os, r.energy.dramDynamic);
-    if (r.sampled) {
-        os << ' ' << r.sampleWindows << ' ' << r.measuredInstructions;
-        putDouble(os, r.cpiStderr);
+    for (const ResultField &f : resultFields()) {
+        if (!journaled(f, r.sampled))
+            continue;
+        if (f.isU64())
+            os << ' ' << f.u64(r);
+        else
+            putDouble(os, f.f64(r));
     }
     os << ' ' << escapeField(r.errMessage);
     return os.str();
@@ -144,48 +130,13 @@ parseJournalLine(const std::string &line, SimResult &out)
     r.failed = rd.u64() != 0;
     r.attempts = static_cast<unsigned>(rd.u64());
     r.errCode = rd.str();
-    r.core.instructions = rd.u64();
-    r.core.cycles = rd.u64();
-    r.core.loads = rd.u64();
-    r.core.stores = rd.u64();
-    r.core.branches = rd.u64();
-    r.core.branchMispredicts = rd.u64();
-    r.core.transientScalars = rd.u64();
-    r.core.svrPrefetches = rd.u64();
-    r.core.svrRounds = rd.u64();
-    r.core.stackL2 = rd.u64();
-    r.core.stackDram = rd.u64();
-    r.core.stackBranch = rd.u64();
-    r.core.stackSvu = rd.u64();
-    r.core.stackOther = rd.u64();
-    r.l1dHits = rd.u64();
-    r.l1dMisses = rd.u64();
-    r.l2Hits = rd.u64();
-    r.l2Misses = rd.u64();
-    r.dramTransfers = rd.u64();
-    r.traffic.demandData = rd.u64();
-    r.traffic.demandIfetch = rd.u64();
-    r.traffic.prefStride = rd.u64();
-    r.traffic.prefSvr = rd.u64();
-    r.traffic.prefImp = rd.u64();
-    r.traffic.writebacks = rd.u64();
-    r.tlbWalks = rd.u64();
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        r.prefIssued[i] = rd.u64();
-    r.svrAccuracyLlc = rd.f64();
-    r.impAccuracyLlc = rd.f64();
-    r.strideAccuracyLlc = rd.f64();
-    r.energy.coreStatic = rd.f64();
-    r.energy.coreDynamic = rd.f64();
-    r.energy.svrDynamic = rd.f64();
-    r.energy.svrStatic = rd.f64();
-    r.energy.cacheDynamic = rd.f64();
-    r.energy.dramStatic = rd.f64();
-    r.energy.dramDynamic = rd.f64();
-    if (r.sampled) {
-        r.sampleWindows = rd.u64();
-        r.measuredInstructions = rd.u64();
-        r.cpiStderr = rd.f64();
+    for (const ResultField &f : resultFields()) {
+        if (!journaled(f, r.sampled))
+            continue;
+        if (f.isU64())
+            f.u64Ref(r) = rd.u64();
+        else
+            f.f64Ref(r) = rd.f64();
     }
     r.errMessage = rd.str();
     if (!rd.ok || r.workload.empty() || r.config.empty())
@@ -253,6 +204,14 @@ loadJournal(const std::string &path, const SweepKey &expect)
         lines.pop_back();
     }
 
+    const std::string tag = lines.empty() ? "" : TokenReader(lines[0]).raw();
+    if (tag.size() > 1 && tag[0] == 'J' && tag != "J2") {
+        throw simErrorf(
+            ErrCode::ConfigInvalid, {},
+            "journal '%s' was written in an older format (%s; this build "
+            "reads J2): delete it, or rerun the sweep without --resume",
+            path.c_str(), tag.c_str());
+    }
     if (lines.empty() || lines[0] != headerLine(expect)) {
         throw simErrorf(
             ErrCode::ConfigInvalid, {},

@@ -4,21 +4,23 @@
  * cell to "<out>.journal" (flushed immediately), so a killed run can
  * be resumed with --resume: already-journaled cells are restored
  * instead of re-simulated, and the final artifact is byte-identical
- * to an uninterrupted run because every SimResult field that reaches
- * the reports round-trips exactly (integers verbatim, doubles as
- * %.17g).
+ * to an uninterrupted run because every stored SimResult field
+ * round-trips exactly (integers verbatim, doubles as %.17g).
  *
  * Format (plain text, one record per line):
- *   line 1:  "J1 <suite> <configs> <window> <seed>[ <sampling>]" —
+ *   line 1:  "J2 <suite> <configs> <window> <seed>[ <sampling>]" —
  *            sweep identity; --resume refuses a journal whose identity
  *            differs. The sampling token (every/window/warmup) only
- *            appears for sampled sweeps, so non-sampled journals stay
- *            byte-identical to the original format.
- *   others:  "R1 <fixed-order fields> <errMessage...>" — one completed
- *            cell; strings are %-escaped, errMessage is the
- *            rest-of-line. Sampled cells are "R2" records: the same
- *            fields plus sample_windows/measured_instructions/
- *            cpi_stderr before errMessage.
+ *            appears for sampled sweeps. A journal of an older format
+ *            (a "J1" header) is refused with its own message: its
+ *            records would parse into the wrong fields.
+ *   others:  "R1 <workload> <config> <failed> <attempts> <errCode>
+ *            <fields...> <errMessage...>" — one completed cell.
+ *            <fields> are the stored rows of the result field table
+ *            (sim/result_fields.hh), in table order; strings are
+ *            %-escaped and errMessage is the rest-of-line. Sampled
+ *            cells are "R2" records, which add the sampling rows
+ *            (sample windows, measured instructions, CPI stderr).
  * A torn final line (crash mid-append) is ignored on load.
  */
 
@@ -68,7 +70,7 @@ struct SweepKey
 using JournalCells =
     std::map<std::pair<std::string, std::string>, SimResult>;
 
-/** Serialize one cell as an "R1 ..." line (no trailing newline). */
+/** Serialize one cell as an "R1"/"R2" line (no trailing newline). */
 std::string journalLine(const SimResult &r);
 
 /**
@@ -139,13 +141,13 @@ struct TokenReader
 };
 
 /**
- * Parse one "R1 ..." line. Returns false on a torn/corrupt line
+ * Parse one "R1"/"R2" line. Returns false on a torn/corrupt line
  * (callers skip it) — never throws.
  */
 bool parseJournalLine(const std::string &line, SimResult &out);
 
 /**
- * Append-only journal writer: opens @p path (creating it with a "J1"
+ * Append-only journal writer: opens @p path (creating it with a "J2"
  * header when new or empty), then append() writes one record and
  * flushes so a SIGKILL loses at most the in-flight line. With
  * @p fsync_each the record is also fsync()ed to the device before
@@ -175,8 +177,9 @@ class SweepJournal
 /**
  * Load the completed cells of an existing journal at @p path. Throws
  * SimError(IoError) when the file cannot be read and
- * SimError(ConfigInvalid) when its header does not match @p expect
- * (resuming a different sweep would silently mix results). Torn or
+ * SimError(ConfigInvalid) when it has an older format's header or its
+ * header does not match @p expect (resuming a different sweep would
+ * silently mix results). Torn or
  * corrupt record lines are skipped with a warn().
  */
 JournalCells loadJournal(const std::string &path, const SweepKey &expect);

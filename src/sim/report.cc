@@ -1,6 +1,10 @@
 #include "sim/report.hh"
 
 #include <sstream>
+#include <string_view>
+#include <utility>
+
+#include "sim/result_fields.hh"
 
 namespace svr
 {
@@ -33,11 +37,47 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** A row's JSON group ("" at top level) and its key inside it. */
+std::pair<std::string_view, std::string_view>
+splitPath(std::string_view path)
+{
+    const std::size_t dot = path.find('.');
+    if (dot == std::string_view::npos)
+        return {{}, path};
+    return {path.substr(0, dot), path.substr(dot + 1)};
+}
+
+/** A row's value, in the stream's default format. */
+void
+putValue(std::ostream &os, const ResultField &f, const SimResult &r)
+{
+    if (f.isU64())
+        os << f.u64(r);
+    else
+        os << f.f64(r);
+}
+
+/** The CSV columns of the @p show rows: their names, or r's values. */
+void
+csvColumns(std::ostream &os, Show show, const SimResult *r)
+{
+    for (const ResultField &f : resultFields()) {
+        if (!f.csv || f.show != show)
+            continue;
+        os << ',';
+        if (r)
+            putValue(os, f, *r);
+        else
+            os << f.csv;
+    }
+}
+
 void
 emitResult(std::ostringstream &os, const SimResult &r,
            const std::string &indent)
 {
     const std::string in2 = indent + "  ";
+    const std::string in4 = in2 + "  ";
     os << indent << "{\n";
     os << in2 << "\"workload\": \"" << jsonEscape(r.workload) << "\",\n";
     os << in2 << "\"config\": \"" << jsonEscape(r.config) << "\",\n";
@@ -51,70 +91,32 @@ emitResult(std::ostringstream &os, const SimResult &r,
            << "\"\n";
         os << in2 << "},\n";
     }
-    os << in2 << "\"instructions\": " << r.core.instructions << ",\n";
-    os << in2 << "\"cycles\": " << r.core.cycles << ",\n";
-    os << in2 << "\"ipc\": " << r.ipc() << ",\n";
-    os << in2 << "\"cpi\": " << r.cpi() << ",\n";
-    os << in2 << "\"cpi_stack\": {\n";
-    os << in2 << "  \"base\": " << r.core.stackBase() << ",\n";
-    os << in2 << "  \"l2\": " << r.core.stackL2 << ",\n";
-    os << in2 << "  \"dram\": " << r.core.stackDram << ",\n";
-    os << in2 << "  \"branch\": " << r.core.stackBranch << ",\n";
-    os << in2 << "  \"svu\": " << r.core.stackSvu << ",\n";
-    os << in2 << "  \"other\": " << r.core.stackOther << "\n";
-    os << in2 << "},\n";
-    os << in2 << "\"loads\": " << r.core.loads << ",\n";
-    os << in2 << "\"stores\": " << r.core.stores << ",\n";
-    os << in2 << "\"branches\": " << r.core.branches << ",\n";
-    os << in2 << "\"branch_mispredicts\": " << r.core.branchMispredicts
-       << ",\n";
-    os << in2 << "\"l1d_hits\": " << r.l1dHits << ",\n";
-    os << in2 << "\"l1d_misses\": " << r.l1dMisses << ",\n";
-    os << in2 << "\"l2_hits\": " << r.l2Hits << ",\n";
-    os << in2 << "\"l2_misses\": " << r.l2Misses << ",\n";
-    os << in2 << "\"dram_transfers\": " << r.dramTransfers << ",\n";
-    os << in2 << "\"dram_traffic\": {\n";
-    os << in2 << "  \"demand_data\": " << r.traffic.demandData << ",\n";
-    os << in2 << "  \"demand_ifetch\": " << r.traffic.demandIfetch
-       << ",\n";
-    os << in2 << "  \"pref_stride\": " << r.traffic.prefStride << ",\n";
-    os << in2 << "  \"pref_svr\": " << r.traffic.prefSvr << ",\n";
-    os << in2 << "  \"pref_imp\": " << r.traffic.prefImp << ",\n";
-    os << in2 << "  \"writebacks\": " << r.traffic.writebacks << "\n";
-    os << in2 << "},\n";
-    os << in2 << "\"tlb_walks\": " << r.tlbWalks << ",\n";
-    os << in2 << "\"svr\": {\n";
-    os << in2 << "  \"rounds\": " << r.core.svrRounds << ",\n";
-    os << in2 << "  \"transient_scalars\": " << r.core.transientScalars
-       << ",\n";
-    os << in2 << "  \"prefetches\": " << r.core.svrPrefetches << ",\n";
-    os << in2 << "  \"llc_accuracy\": " << r.svrAccuracyLlc << "\n";
-    os << in2 << "},\n";
-    os << in2 << "\"imp_llc_accuracy\": " << r.impAccuracyLlc << ",\n";
-    // Only sampled runs mention sampling at all: a full-detail run's
-    // JSON must stay byte-identical to the pre-sampling format.
-    if (r.sampled) {
-        os << in2 << "\"sampled\": {\n";
-        os << in2 << "  \"windows\": " << r.sampleWindows << ",\n";
-        os << in2 << "  \"measured_instructions\": "
-           << r.measuredInstructions << ",\n";
-        os << in2 << "  \"cpi_stderr\": " << r.cpiStderr << ",\n";
-        os << in2 << "  \"cpi_ci95\": " << 1.96 * r.cpiStderr << "\n";
-        os << in2 << "},\n";
+    // The table's rows, shown for this result, opening and closing
+    // each group's object around its rows.
+    std::vector<const ResultField *> rows;
+    for (const ResultField &f : resultFields()) {
+        if (f.show == Show::Always || (f.show == Show::Sampled && r.sampled))
+            rows.push_back(&f);
     }
-    os << in2 << "\"energy\": {\n";
-    os << in2 << "  \"total_nj\": " << r.energy.totalNJ() << ",\n";
-    os << in2 << "  \"per_instr_nj\": " << r.energyPerInstr() << ",\n";
-    os << in2 << "  \"core_static_nj\": " << r.energy.coreStatic << ",\n";
-    os << in2 << "  \"core_dynamic_nj\": " << r.energy.coreDynamic
-       << ",\n";
-    os << in2 << "  \"svr_dynamic_nj\": " << r.energy.svrDynamic << ",\n";
-    os << in2 << "  \"cache_dynamic_nj\": " << r.energy.cacheDynamic
-       << ",\n";
-    os << in2 << "  \"dram_static_nj\": " << r.energy.dramStatic << ",\n";
-    os << in2 << "  \"dram_dynamic_nj\": " << r.energy.dramDynamic
-       << "\n";
-    os << in2 << "}\n";
+    std::string_view open;
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        const auto [group, key] = splitPath(rows[i]->path);
+        if (group != open) {
+            if (!open.empty())
+                os << in2 << "},\n";
+            if (!group.empty())
+                os << in2 << '"' << group << "\": {\n";
+            open = group;
+        }
+        os << (group.empty() ? in2 : in4) << '"' << key << "\": ";
+        putValue(os, *rows[i], r);
+        const bool comma =
+            i + 1 < rows.size() &&
+            (group.empty() || splitPath(rows[i + 1]->path).first == group);
+        os << (comma ? ",\n" : "\n");
+    }
+    if (!open.empty())
+        os << in2 << "}\n";
     os << indent << "}";
 }
 
@@ -147,40 +149,25 @@ toJson(const std::vector<SimResult> &results)
 std::string
 csvHeader(bool sampled)
 {
-    std::string header =
-        "workload,config,instructions,cycles,ipc,cpi,"
-        "stack_base,stack_l2,stack_dram,stack_branch,stack_svu,"
-        "stack_other,loads,stores,branches,branch_mispredicts,"
-        "l1d_hits,l1d_misses,l2_hits,l2_misses,dram_transfers,"
-        "tlb_walks,svr_rounds,svr_scalars,svr_prefetches,"
-        "svr_llc_accuracy,energy_per_instr_nj,status,attempts,"
-        "error_code";
+    std::ostringstream os;
+    os << "workload,config";
+    csvColumns(os, Show::Always, nullptr);
+    os << ",status,attempts,error_code";
     if (sampled)
-        header += ",sample_windows,measured_instructions,cpi_stderr";
-    return header;
+        csvColumns(os, Show::Sampled, nullptr);
+    return os.str();
 }
 
 std::string
 csvRow(const SimResult &r, bool sampled)
 {
     std::ostringstream os;
-    os << r.workload << ',' << r.config << ',' << r.core.instructions
-       << ',' << r.core.cycles << ',' << r.ipc() << ',' << r.cpi() << ','
-       << r.core.stackBase() << ',' << r.core.stackL2 << ','
-       << r.core.stackDram << ',' << r.core.stackBranch << ','
-       << r.core.stackSvu << ',' << r.core.stackOther << ','
-       << r.core.loads << ',' << r.core.stores << ',' << r.core.branches
-       << ',' << r.core.branchMispredicts << ',' << r.l1dHits << ','
-       << r.l1dMisses << ',' << r.l2Hits << ',' << r.l2Misses << ','
-       << r.dramTransfers << ',' << r.tlbWalks << ',' << r.core.svrRounds
-       << ',' << r.core.transientScalars << ',' << r.core.svrPrefetches
-       << ',' << r.svrAccuracyLlc << ',' << r.energyPerInstr() << ','
-       << (r.failed ? "failed" : "ok") << ',' << r.attempts << ','
+    os << r.workload << ',' << r.config;
+    csvColumns(os, Show::Always, &r);
+    os << ',' << (r.failed ? "failed" : "ok") << ',' << r.attempts << ','
        << r.errCode;
-    if (sampled) {
-        os << ',' << r.sampleWindows << ',' << r.measuredInstructions
-           << ',' << r.cpiStderr;
-    }
+    if (sampled)
+        csvColumns(os, Show::Sampled, &r);
     return os.str();
 }
 

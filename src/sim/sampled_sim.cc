@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/executor.hh"
+#include "sim/result_fields.hh"
 #include "svr/svr_engine.hh"
 
 namespace svr
@@ -68,73 +69,6 @@ fastForward(Executor &exec, FunctionalMemory &mem, FastForwardLadder *ladder,
     return done;
 }
 
-/** Every memory-side counter a SimResult reports, snapshot-able. */
-struct MemCounters
-{
-    std::uint64_t l1dHits = 0;
-    std::uint64_t l1dMisses = 0;
-    std::uint64_t l1iHits = 0;
-    std::uint64_t l1iMisses = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t dramTransfers = 0;
-    DramTraffic traffic;
-    std::uint64_t tlbWalks = 0;
-    std::uint64_t prefIssued[numPrefetchOrigins] = {};
-    std::uint64_t llcPrefFirstUse[numPrefetchOrigins] = {};
-    std::uint64_t llcPrefEvictedUnused[numPrefetchOrigins] = {};
-};
-
-MemCounters
-captureCounters(const MemorySystem &mem)
-{
-    MemCounters c;
-    c.l1dHits = mem.l1d().hits;
-    c.l1dMisses = mem.l1d().misses;
-    c.l1iHits = mem.l1i().hits;
-    c.l1iMisses = mem.l1i().misses;
-    c.l2Hits = mem.l2().hits;
-    c.l2Misses = mem.l2().misses;
-    c.dramTransfers = mem.dram().transfers();
-    c.traffic = mem.dramTraffic();
-    c.tlbWalks = mem.translation().walks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++) {
-        const auto origin = static_cast<PrefetchOrigin>(i);
-        c.prefIssued[i] = mem.prefIssued(origin);
-        c.llcPrefFirstUse[i] = mem.llcPrefFirstUse(origin);
-        c.llcPrefEvictedUnused[i] = mem.llcPrefEvictedUnused(origin);
-    }
-    return c;
-}
-
-MemCounters
-operator-(const MemCounters &a, const MemCounters &b)
-{
-    MemCounters d;
-    d.l1dHits = a.l1dHits - b.l1dHits;
-    d.l1dMisses = a.l1dMisses - b.l1dMisses;
-    d.l1iHits = a.l1iHits - b.l1iHits;
-    d.l1iMisses = a.l1iMisses - b.l1iMisses;
-    d.l2Hits = a.l2Hits - b.l2Hits;
-    d.l2Misses = a.l2Misses - b.l2Misses;
-    d.dramTransfers = a.dramTransfers - b.dramTransfers;
-    d.traffic.demandData = a.traffic.demandData - b.traffic.demandData;
-    d.traffic.demandIfetch = a.traffic.demandIfetch - b.traffic.demandIfetch;
-    d.traffic.prefStride = a.traffic.prefStride - b.traffic.prefStride;
-    d.traffic.prefSvr = a.traffic.prefSvr - b.traffic.prefSvr;
-    d.traffic.prefImp = a.traffic.prefImp - b.traffic.prefImp;
-    d.traffic.writebacks = a.traffic.writebacks - b.traffic.writebacks;
-    d.tlbWalks = a.tlbWalks - b.tlbWalks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++) {
-        d.prefIssued[i] = a.prefIssued[i] - b.prefIssued[i];
-        d.llcPrefFirstUse[i] =
-            a.llcPrefFirstUse[i] - b.llcPrefFirstUse[i];
-        d.llcPrefEvictedUnused[i] =
-            a.llcPrefEvictedUnused[i] - b.llcPrefEvictedUnused[i];
-    }
-    return d;
-}
-
 /**
  * Extrapolate one window counter to its whole period. The ratio-1
  * case (degenerate configs, where the window covers everything it
@@ -152,15 +86,6 @@ scaled(std::uint64_t v, std::uint64_t represented, std::uint64_t measured)
         std::llround(static_cast<double>(v) * ratio));
 }
 
-/** Accuracy from summed first-use / evicted-unused deltas. */
-double
-accuracyOf(std::uint64_t used, std::uint64_t unused)
-{
-    if (used + unused == 0)
-        return 1.0;
-    return static_cast<double>(used) / static_cast<double>(used + unused);
-}
-
 } // namespace
 
 SimResult
@@ -168,13 +93,10 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
                 const SimHooks &hooks,
                 std::vector<SampleWindow> *windows_out)
 {
-    validateConfig(config);
+    validateRun(config, w);
     if (!config.sampling.enabled())
         fatal("simulateSampled: config '%s' has sampling disabled",
               config.label.c_str());
-    if (!w.program || !w.mem)
-        fatal("simulate: workload '%s' has no program/memory",
-              w.name.c_str());
     if (hooks.commit) {
         ErrContext ctx;
         ctx.workload = w.name;
@@ -202,11 +124,6 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
     SvrEngineSnapshot svr_state;
     bool have_svr = false;
 
-    MemCounters est;                   // whole-region counter estimates
-    std::uint64_t est_l1_accesses = 0; // energy-model inputs
-    std::uint64_t est_l2_accesses = 0;
-    std::uint64_t llc_used[numPrefetchOrigins] = {};
-    std::uint64_t llc_unused[numPrefetchOrigins] = {};
     std::vector<double> cpis;
     std::uint64_t done = 0;      //!< region instructions executed so far
     std::uint64_t measured = 0;  //!< instructions measured in detail
@@ -233,10 +150,13 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         // Fresh timing state per window; the detailed warmup (not the
         // previous window's stale image) populates it.
         MemorySystem mem(config.mem);
-        MemCounters at_measure; // all-zero == fresh-memory baseline
+        SimResult at_measure; // zero counters == fresh-machine baseline
         MeasureWindow mw;
         mw.warmupInstrs = warmup_target;
-        mw.onMeasureStart = [&] { at_measure = captureCounters(mem); };
+        mw.onMeasureStart = [&](const CoreStats &base) {
+            at_measure.core = base;
+            captureMemory(mem, at_measure);
+        };
 
         TimingWindow tw;
         tw.maxInstructions = warmup_target + window_target;
@@ -244,9 +164,13 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         tw.svrIn = have_svr ? &svr_state : nullptr;
         tw.svrOut = &svr_state;
 
+        // The window's counters from the warmup boundary on.
         const std::uint64_t seq_before = exec.exportArchState().seq;
-        const CoreStats ws =
-            runTimingWindow(config, mem, exec, *w.mem, hooks, wd, tw);
+        SimResult delta;
+        delta.core = runTimingWindow(config, mem, exec, *w.mem, hooks, wd, tw);
+        captureMemory(mem, delta);
+        subtractResult(delta, at_measure);
+        const CoreStats &ws = delta.core;
         const std::uint64_t committed =
             exec.exportArchState().seq - seq_before;
         done += committed;
@@ -260,64 +184,13 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         // Everything this period executed — fast-forward, warmup, and
         // the measured window itself — is represented by the window.
         const std::uint64_t represented = ffed + committed;
-        const MemCounters delta = captureCounters(mem) - at_measure;
-
-        r.core.cycles += scaled(ws.cycles, represented, ws.instructions);
-        r.core.loads += scaled(ws.loads, represented, ws.instructions);
-        r.core.stores += scaled(ws.stores, represented, ws.instructions);
-        r.core.branches +=
-            scaled(ws.branches, represented, ws.instructions);
-        r.core.branchMispredicts +=
-            scaled(ws.branchMispredicts, represented, ws.instructions);
-        r.core.transientScalars +=
-            scaled(ws.transientScalars, represented, ws.instructions);
-        r.core.svrPrefetches +=
-            scaled(ws.svrPrefetches, represented, ws.instructions);
-        r.core.svrRounds +=
-            scaled(ws.svrRounds, represented, ws.instructions);
-        r.core.stackL2 += scaled(ws.stackL2, represented, ws.instructions);
-        r.core.stackDram +=
-            scaled(ws.stackDram, represented, ws.instructions);
-        r.core.stackBranch +=
-            scaled(ws.stackBranch, represented, ws.instructions);
-        r.core.stackSvu +=
-            scaled(ws.stackSvu, represented, ws.instructions);
-        r.core.stackOther +=
-            scaled(ws.stackOther, represented, ws.instructions);
-
-        est.l1dHits += scaled(delta.l1dHits, represented, ws.instructions);
-        est.l1dMisses +=
-            scaled(delta.l1dMisses, represented, ws.instructions);
-        est.l2Hits += scaled(delta.l2Hits, represented, ws.instructions);
-        est.l2Misses +=
-            scaled(delta.l2Misses, represented, ws.instructions);
-        est.dramTransfers +=
-            scaled(delta.dramTransfers, represented, ws.instructions);
-        est.traffic.demandData +=
-            scaled(delta.traffic.demandData, represented, ws.instructions);
-        est.traffic.demandIfetch += scaled(delta.traffic.demandIfetch,
-                                           represented, ws.instructions);
-        est.traffic.prefStride +=
-            scaled(delta.traffic.prefStride, represented, ws.instructions);
-        est.traffic.prefSvr +=
-            scaled(delta.traffic.prefSvr, represented, ws.instructions);
-        est.traffic.prefImp +=
-            scaled(delta.traffic.prefImp, represented, ws.instructions);
-        est.traffic.writebacks +=
-            scaled(delta.traffic.writebacks, represented, ws.instructions);
-        est.tlbWalks += scaled(delta.tlbWalks, represented, ws.instructions);
-        for (unsigned i = 0; i < numPrefetchOrigins; i++) {
-            est.prefIssued[i] +=
-                scaled(delta.prefIssued[i], represented, ws.instructions);
-            llc_used[i] += delta.llcPrefFirstUse[i];
-            llc_unused[i] += delta.llcPrefEvictedUnused[i];
+        for (const ResultField &f : resultFields()) {
+            if (f.stitch == Stitch::Scaled)
+                f.u64Ref(r) +=
+                    scaled(f.u64(delta), represented, ws.instructions);
+            else if (f.stitch == Stitch::Summed)
+                f.u64Ref(r) += f.u64(delta);
         }
-        est_l1_accesses +=
-            scaled(delta.l1dHits + delta.l1dMisses + delta.l1iHits +
-                       delta.l1iMisses,
-                   represented, ws.instructions);
-        est_l2_accesses += scaled(delta.l2Hits + delta.l2Misses,
-                                  represented, ws.instructions);
 
         const double cpi = static_cast<double>(ws.cycles) /
                            static_cast<double>(ws.instructions);
@@ -353,35 +226,7 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
             ? sampleStdDev(cpis) / std::sqrt(static_cast<double>(cpis.size()))
             : 0.0;
 
-    r.l1dHits = est.l1dHits;
-    r.l1dMisses = est.l1dMisses;
-    r.l2Hits = est.l2Hits;
-    r.l2Misses = est.l2Misses;
-    r.dramTransfers = est.dramTransfers;
-    r.traffic = est.traffic;
-    r.tlbWalks = est.tlbWalks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        r.prefIssued[i] = est.prefIssued[i];
-    const auto idx = [](PrefetchOrigin o) {
-        return static_cast<unsigned>(o);
-    };
-    r.svrAccuracyLlc = accuracyOf(llc_used[idx(PrefetchOrigin::Svr)],
-                                  llc_unused[idx(PrefetchOrigin::Svr)]);
-    r.impAccuracyLlc = accuracyOf(llc_used[idx(PrefetchOrigin::Imp)],
-                                  llc_unused[idx(PrefetchOrigin::Imp)]);
-    r.strideAccuracyLlc =
-        accuracyOf(llc_used[idx(PrefetchOrigin::Stride)],
-                   llc_unused[idx(PrefetchOrigin::Stride)]);
-
-    const CoreKind kind = config.core == CoreType::OutOfOrder
-                              ? CoreKind::OutOfOrder
-                              : CoreKind::InOrder;
-    MemEnergyEvents ev;
-    ev.l1Accesses = est_l1_accesses;
-    ev.l2Accesses = est_l2_accesses;
-    ev.dramTransfers = est.dramTransfers;
-    r.energy = computeEnergy(kind, config.core == CoreType::Svr, r.core, ev,
-                             config.energy);
+    recomputeResult(config, r);
     return r;
 }
 

@@ -3,11 +3,13 @@
 #include <chrono>
 #include <memory>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "core/executor.hh"
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
 #include "imp/imp_prefetcher.hh"
+#include "sim/result_fields.hh"
 #include "sim/sampled_sim.hh"
 #include "svr/svr_engine.hh"
 
@@ -41,6 +43,19 @@ resolveWatchdog(const SimConfig &config)
     else
         wd.maxStallCycles = std::uint64_t{1} << 22;
     return wd;
+}
+
+void
+validateRun(const SimConfig &config, const WorkloadInstance &w)
+{
+    try {
+        validateConfig(config);
+    } catch (const SimError &e) {
+        throw SimError::withCell(e, w.name, config.label);
+    }
+    if (!w.program || !w.mem)
+        fatal("simulate: workload '%s' has no program/memory",
+              w.name.c_str());
 }
 
 CoreStats
@@ -103,11 +118,7 @@ SimResult
 simulate(const SimConfig &config, const WorkloadInstance &w,
          const SimHooks &hooks)
 {
-    validateConfig(config);
-    if (!w.program || !w.mem)
-        fatal("simulate: workload '%s' has no program/memory",
-              w.name.c_str());
-
+    validateRun(config, w);
     if (config.sampling.enabled())
         return simulateSampled(config, w, hooks);
 
@@ -131,29 +142,8 @@ simulate(const SimConfig &config, const WorkloadInstance &w,
         std::chrono::steady_clock::now() - t_start;
     r.hostMillis = elapsed.count();
 
-    r.l1dHits = mem.l1d().hits;
-    r.l1dMisses = mem.l1d().misses;
-    r.l2Hits = mem.l2().hits;
-    r.l2Misses = mem.l2().misses;
-    r.dramTransfers = mem.dram().transfers();
-    r.traffic = mem.dramTraffic();
-    r.tlbWalks = mem.translation().walks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        r.prefIssued[i] = mem.prefIssued(static_cast<PrefetchOrigin>(i));
-    r.svrAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Svr);
-    r.impAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Imp);
-    r.strideAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Stride);
-
-    const CoreKind kind = config.core == CoreType::OutOfOrder
-                              ? CoreKind::OutOfOrder
-                              : CoreKind::InOrder;
-    MemEnergyEvents ev;
-    ev.l1Accesses = mem.l1d().hits + mem.l1d().misses + mem.l1i().hits +
-                    mem.l1i().misses;
-    ev.l2Accesses = mem.l2().hits + mem.l2().misses;
-    ev.dramTransfers = mem.dram().transfers();
-    r.energy = computeEnergy(kind, config.core == CoreType::Svr, r.core, ev,
-                             config.energy);
+    captureMemory(mem, r);
+    recomputeResult(config, r);
     return r;
 }
 
@@ -191,11 +181,7 @@ class StuckEngine : public RunaheadEngine
 SimResult
 simulateInjectedHang(const SimConfig &config, const WorkloadInstance &w)
 {
-    validateConfig(config);
-    if (!w.program || !w.mem)
-        fatal("simulate: workload '%s' has no program/memory",
-              w.name.c_str());
-
+    validateRun(config, w);
     const WatchdogParams wd = resolveWatchdog(config);
 
     MemorySystem mem(config.mem);

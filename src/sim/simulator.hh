@@ -76,6 +76,16 @@ struct SimResult
     EnergyBreakdown energy;
 
     /**
+     * Inputs of the accuracies and energy above, which no report
+     * shows: LLC prefetch first uses and unused evictions by
+     * PrefetchOrigin, and the cache accesses the energy model charges.
+     */
+    std::uint64_t llcPrefFirstUse[numPrefetchOrigins] = {};
+    std::uint64_t llcPrefEvictedUnused[numPrefetchOrigins] = {};
+    std::uint64_t l1Accesses = 0; //!< L1D + L1I
+    std::uint64_t l2Accesses = 0;
+
+    /**
      * Failure record. A cell that threw a SimError under --keep-going
      * is recorded here instead of aborting the sweep: failed=true,
      * errCode/errMessage carry the structured error, attempts counts
@@ -144,6 +154,13 @@ struct SimResult
 WatchdogParams resolveWatchdog(const SimConfig &config);
 
 /**
+ * The checks every simulate entry point makes before a run:
+ * validateConfig(), with a ConfigInvalid naming the cell (@p w's name
+ * and the config label), and a built workload.
+ */
+void validateRun(const SimConfig &config, const WorkloadInstance &w);
+
+/**
  * One detailed-timing segment over an already-positioned machine.
  * simulate() runs exactly one covering the whole region; the sampled
  * driver (sim/sampled_sim.hh) runs one per sample period.
@@ -169,8 +186,8 @@ struct TimingWindow
  * Build the configured core (plus SVR engine / IMP prefetcher) over
  * @p mem and run one timing segment on @p exec from its current
  * position. @p fmem is the workload's functional memory (value source
- * for IMP). Returns the segment's core stats (rebaselined when
- * window.measure has a warmup).
+ * for IMP). Returns the core stats of the whole segment, warmup
+ * included.
  */
 CoreStats runTimingWindow(const SimConfig &config, MemorySystem &mem,
                           Executor &exec, FunctionalMemory &fmem,

@@ -580,6 +580,26 @@ TEST(Journal, TornAndCorruptLinesAreSkippedOnLoad)
     std::remove(path.c_str());
 }
 
+TEST(Journal, OlderFormatIsRefusedWithItsOwnMessage)
+{
+    const std::string path = ::testing::TempDir() + "svrsim_j1.journal";
+    const SweepKey key{"quick", "ino,svr16", 5000, 42, {}};
+    // A J1 journal of this very sweep: same identity, older records.
+    writeFileAtomic(path, "J1 quick ino,svr16 5000 42\n"
+                          "R1 PR_KR InO 0 1 - 5000 9000 1 2 3\n");
+    try {
+        loadJournal(path, key);
+        FAIL() << "J1 journal accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrCode::ConfigInvalid);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("older format"), std::string::npos) << what;
+        EXPECT_NE(what.find("delete it"), std::string::npos) << what;
+        EXPECT_EQ(what.find("different sweep"), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Journal, MismatchedSweepIdentityIsRejected)
 {
     const std::string path =

@@ -54,6 +54,7 @@
 #include "common/rng.hh"
 #include "core/executor.hh"
 #include "sim/experiment.hh"
+#include "sim/journal.hh"
 #include "sim/report.hh"
 #include "test_helpers.hh"
 #include "workloads/suites.hh"
@@ -335,6 +336,84 @@ expectResultEqual(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.energy.cacheDynamic, b.energy.cacheDynamic) << cell;
     EXPECT_EQ(a.energy.dramStatic, b.energy.dramStatic) << cell;
     EXPECT_EQ(a.energy.dramDynamic, b.energy.dramDynamic) << cell;
+
+    for (unsigned i = 0; i < 4; i++) {
+        EXPECT_EQ(a.llcPrefFirstUse[i], b.llcPrefFirstUse[i])
+            << cell << " origin " << i;
+        EXPECT_EQ(a.llcPrefEvictedUnused[i], b.llcPrefEvictedUnused[i])
+            << cell << " origin " << i;
+    }
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses) << cell;
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << cell;
+}
+
+/**
+ * A result with a distinct value in every field, set by hand (not
+ * through the result field table, which is what it checks). Doubles
+ * get values with no short decimal form, so they need all 17 digits.
+ */
+SimResult
+everyFieldDistinct(bool sampled)
+{
+    SimResult r;
+    r.workload = "every field";
+    r.config = "SVR16";
+    r.failed = true;
+    r.errCode = "NoForwardProgress";
+    r.errMessage = "stuck [cell=every field/SVR16]";
+    r.attempts = 3;
+    CoreStats &c = r.core;
+    std::uint64_t v = 1000;
+    for (std::uint64_t *p :
+         {&c.instructions, &c.cycles, &c.loads, &c.stores, &c.branches,
+          &c.branchMispredicts, &c.transientScalars, &c.svrPrefetches,
+          &c.svrRounds, &c.stackL2, &c.stackDram, &c.stackBranch,
+          &c.stackSvu, &c.stackOther, &r.l1dHits, &r.l1dMisses, &r.l2Hits,
+          &r.l2Misses, &r.dramTransfers, &r.traffic.demandData,
+          &r.traffic.demandIfetch, &r.traffic.prefStride,
+          &r.traffic.prefSvr, &r.traffic.prefImp, &r.traffic.writebacks,
+          &r.tlbWalks, &r.l1Accesses, &r.l2Accesses})
+        *p = v++;
+    for (unsigned i = 0; i < 4; i++) {
+        r.prefIssued[i] = v++;
+        r.llcPrefFirstUse[i] = v++;
+        r.llcPrefEvictedUnused[i] = v++;
+    }
+    double d = 0.0;
+    for (double *p :
+         {&r.svrAccuracyLlc, &r.impAccuracyLlc, &r.strideAccuracyLlc,
+          &r.energy.coreStatic, &r.energy.coreDynamic, &r.energy.svrDynamic,
+          &r.energy.svrStatic, &r.energy.cacheDynamic, &r.energy.dramStatic,
+          &r.energy.dramDynamic})
+        *p = (d += 1.0) / 3.0;
+    // A full-detail ("R1") record carries no sampling fields.
+    r.sampled = sampled;
+    if (sampled) {
+        r.sampleWindows = v++;
+        r.measuredInstructions = v++;
+        r.cpiStderr = (d + 1.0) / 7.0;
+    }
+    return r;
+}
+
+TEST(JournalRoundTrip, EveryFieldSurvivesExactly)
+{
+    for (const bool sampled : {false, true}) {
+        const SimResult r = everyFieldDistinct(sampled);
+        const std::string line = journalLine(r);
+        SimResult back;
+        ASSERT_TRUE(parseJournalLine(line, back)) << line;
+        expectResultEqual(back, r);
+        EXPECT_EQ(back.sampled, sampled);
+        EXPECT_EQ(back.sampleWindows, r.sampleWindows);
+        EXPECT_EQ(back.measuredInstructions, r.measuredInstructions);
+        EXPECT_EQ(back.cpiStderr, r.cpiStderr);
+        EXPECT_TRUE(back.failed);
+        EXPECT_EQ(back.errCode, r.errCode);
+        EXPECT_EQ(back.errMessage, r.errMessage);
+        EXPECT_EQ(back.attempts, r.attempts);
+        EXPECT_EQ(journalLine(back), line);
+    }
 }
 
 TEST(SerialVsParallel, MatrixShapeMatches)

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "sim/report.hh"
+#include "sim/result_fields.hh"
 #include "test_helpers.hh"
 
 namespace svr
@@ -262,6 +265,57 @@ TEST(Report, CsvRowRoundTripsNumbers)
     EXPECT_EQ(std::stoull(field), r.core.instructions);
     std::getline(is, field, ','); // cycles
     EXPECT_EQ(std::stoull(field), r.core.cycles);
+}
+
+TEST(ResultFields, TableIsWellFormed)
+{
+    std::set<std::string> paths, columns;
+    std::string last_group;
+    std::set<std::string> closed_groups;
+    for (const ResultField &f : resultFields()) {
+        const std::string path = f.path;
+        EXPECT_TRUE(paths.insert(path).second) << "duplicate " << path;
+        if (f.csv) {
+            EXPECT_TRUE(columns.insert(f.csv).second) << f.csv;
+        }
+        // Only a derived row is read-only; only counters are stitched
+        // window by window.
+        EXPECT_EQ(f.stored(), f.stitch != Stitch::Derived) << path;
+        if (f.stitch == Stitch::Scaled || f.stitch == Stitch::Summed) {
+            EXPECT_TRUE(f.isU64()) << path;
+        }
+        if (f.show == Show::Journal) {
+            EXPECT_EQ(f.csv, nullptr) << path;
+            EXPECT_TRUE(f.stored()) << path;
+            continue;
+        }
+        // The JSON writer opens each group once: its shown rows must
+        // be contiguous.
+        const std::string group =
+            path.find('.') == std::string::npos
+                ? ""
+                : path.substr(0, path.find('.'));
+        if (group != last_group) {
+            closed_groups.insert(last_group);
+            EXPECT_FALSE(!group.empty() && closed_groups.count(group))
+                << path << ": group split by another";
+            last_group = group;
+        }
+    }
+}
+
+TEST(ResultFields, SubtractResultFloorsStoredCounters)
+{
+    SimResult a, b;
+    a.core.cycles = 10;
+    b.core.cycles = 12;
+    a.l2Hits = 7;
+    b.l2Hits = 5;
+    a.svrAccuracyLlc = 0.25;
+    subtractResult(a, b);
+    EXPECT_EQ(a.core.cycles, 0u);
+    EXPECT_EQ(a.l2Hits, 2u);
+    EXPECT_EQ(a.svrAccuracyLlc, 0.25); // doubles are not counters
 }
 
 } // namespace

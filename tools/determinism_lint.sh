@@ -30,9 +30,11 @@ root="${1:-.}"
 # of the inputs they generate and lay out; sampled_sim.cc because a
 # sweep row's cells restore the fast-forward ladder it keeps, so a
 # rung keyed or chosen by anything but the instruction count would
-# leak scheduling into every sampled result.
+# leak scheduling into every sampled result; result_fields.cc because
+# its table orders every report, journal record and fabric RESULT.
 files=(
     src/sim/report.cc
+    src/sim/result_fields.cc
     src/sim/journal.cc
     src/sim/checkpoint.cc
     src/sim/experiment.cc
