@@ -83,6 +83,21 @@ class Cache
     /** Simple presence probe without LRU/tag side effects. */
     bool contains(Addr line_addr) const;
 
+    /**
+     * The drop test of a prefetch for @p line_addr at @p now: true when
+     * the line is present or has a miss completing after @p now, with
+     * no side effects. Otherwise the prefetch is issued and misses
+     * here, and this counts that miss, as lookup() would.
+     */
+    bool
+    dropsPrefetch(Addr line_addr, Cycle now)
+    {
+        if (contains(line_addr) || outstandingMiss(line_addr, now))
+            return true;
+        misses++;
+        return false;
+    }
+
     /** Insert @p line_addr with fill origin @p origin. */
     EvictResult insert(Addr line_addr, PrefetchOrigin origin, bool dirty);
 

@@ -10,7 +10,7 @@
  * address bits above the page offset, hashed only once per 2 MiB
  * region — plus small direct-mapped page-translation caches, so the
  * common case (accesses cycling over a few hot pages) costs one
- * compare and one memcpy instead of a hash lookup per byte.
+ * compare and one fixed-size copy instead of a hash lookup per byte.
  * Page-straddling accesses take the byte-by-byte slow path. Reads
  * never materialize pages; unmapped memory reads as zero.
  *
@@ -70,9 +70,7 @@ class FunctionalMemory
             const std::uint8_t *page = translate(addr);
             if (!page)
                 return 0;
-            std::uint64_t v = 0;
-            std::memcpy(&v, page + off, bytes);
-            return v;
+            return loadLe(page + off, bytes);
         }
         return readSlow(addr, bytes);
     }
@@ -94,7 +92,7 @@ class FunctionalMemory
             std::uint8_t *page = wtcTag[slot] == page_num
                                      ? wtcData[slot]
                                      : writablePage(page_num);
-            std::memcpy(page + off, &value, bytes);
+            storeLe(page + off, value, bytes);
             return;
         }
         writeSlow(addr, value, bytes);
@@ -304,6 +302,57 @@ class FunctionalMemory
     /** Byte-by-byte paths for page-straddling (or odd-host) accesses. */
     std::uint64_t readSlow(Addr addr, unsigned bytes) const;
     void writeSlow(Addr addr, std::uint64_t value, unsigned bytes);
+
+    /**
+     * Fixed-size copies of a checked width (1/2/4/8): a variable-size
+     * memcpy compiles to a libc call wherever read()/write() end up
+     * out of line, and every functional load and store pays for it.
+     */
+    static std::uint64_t
+    loadLe(const std::uint8_t *p, unsigned bytes)
+    {
+        switch (bytes) {
+          case 8: {
+            std::uint64_t v;
+            std::memcpy(&v, p, 8);
+            return v;
+          }
+          case 4: {
+            std::uint32_t v;
+            std::memcpy(&v, p, 4);
+            return v;
+          }
+          case 2: {
+            std::uint16_t v;
+            std::memcpy(&v, p, 2);
+            return v;
+          }
+          default:
+            return *p;
+        }
+    }
+
+    static void
+    storeLe(std::uint8_t *p, std::uint64_t value, unsigned bytes)
+    {
+        switch (bytes) {
+          case 8:
+            std::memcpy(p, &value, 8);
+            break;
+          case 4: {
+            const auto v = static_cast<std::uint32_t>(value);
+            std::memcpy(p, &v, 4);
+            break;
+          }
+          case 2: {
+            const auto v = static_cast<std::uint16_t>(value);
+            std::memcpy(p, &v, 2);
+            break;
+          }
+          default:
+            *p = static_cast<std::uint8_t>(value);
+        }
+    }
 
     /** Cheap inline size check; the panic itself stays out of line. */
     static void

@@ -39,16 +39,15 @@ MemorySystem::drainAll(Cycle now)
 }
 
 AccessResult
-MemorySystem::accessLine(AccessKind kind, Addr line, Cycle start,
-                         bool is_demand, bool is_store,
-                         PrefetchOrigin fill_origin)
+MemorySystem::demandLine(AccessKind kind, Addr line, Cycle start)
 {
+    const bool is_store = kind == AccessKind::Store;
     AccessResult result;
     bool first_use = false;
     PrefetchOrigin hit_origin = PrefetchOrigin::None;
 
     // L1D lookup.
-    if (l1dCache.lookup(line, is_demand, first_use, hit_origin)) {
+    if (l1dCache.lookup(line, true, first_use, hit_origin)) {
         if (is_store)
             l1dCache.setDirty(line);
         result.done = start + l1dCache.params().hitLatency;
@@ -69,22 +68,30 @@ MemorySystem::accessLine(AccessKind kind, Addr line, Cycle start,
         pi.done) {
         result.done = pi.done + l1dCache.params().hitLatency;
         result.level = pi.fromDram ? HitLevel::Dram : HitLevel::L2;
-        if (is_demand) {
-            // A demand merging into an in-flight prefetch is a (late
-            // but real) use of that prefetch.
-            if (pi.origin != PrefetchOrigin::None) {
-                l1dCache.convertPendingToDemand(line);
-                l2Cache.convertPendingToDemand(line);
-                l2Cache.markPrefetchUsed(line);
-                if (pi.origin == PrefetchOrigin::Svr)
-                    result.svrFirstUse = true;
-            }
-            if (is_store)
-                l1dCache.setPendingFill(line, PrefetchOrigin::None, true,
-                                        result.level == HitLevel::Dram);
+        // A demand merging into an in-flight prefetch is a (late but
+        // real) use of that prefetch.
+        if (pi.origin != PrefetchOrigin::None) {
+            l1dCache.convertPendingToDemand(line);
+            l2Cache.convertPendingToDemand(line);
+            l2Cache.markPrefetchUsed(line);
+            if (pi.origin == PrefetchOrigin::Svr)
+                result.svrFirstUse = true;
         }
+        if (is_store)
+            l1dCache.setPendingFill(line, PrefetchOrigin::None, true,
+                                    result.level == HitLevel::Dram);
         return result;
     }
+    return missLine(kind, line, start, true, is_store,
+                    PrefetchOrigin::None);
+}
+
+AccessResult
+MemorySystem::missLine(AccessKind kind, Addr line, Cycle start,
+                       bool is_demand, bool is_store,
+                       PrefetchOrigin fill_origin)
+{
+    AccessResult result;
 
     // Allocate an L1 MSHR (a full MSHR file delays the miss).
     const Cycle l1_start =
@@ -150,40 +157,11 @@ AccessResult
 MemorySystem::access(AccessKind kind, Addr pc, Addr addr, Cycle now)
 {
     maybeDrain(now);
+    if (kind != AccessKind::Load && kind != AccessKind::Store)
+        return prefetch(kind, addr, now);
 
-    const bool is_demand = kind == AccessKind::Load ||
-                           kind == AccessKind::Store;
-    const bool is_store = kind == AccessKind::Store;
-    PrefetchOrigin fill_origin = PrefetchOrigin::None;
-    switch (kind) {
-      case AccessKind::PrefSvr:
-        fill_origin = PrefetchOrigin::Svr;
-        break;
-      case AccessKind::PrefImp:
-        fill_origin = PrefetchOrigin::Imp;
-        break;
-      case AccessKind::PrefStride:
-        fill_origin = PrefetchOrigin::Stride;
-        break;
-      default:
-        break;
-    }
-
-    // Address translation (prefetches translate too: they are issued
-    // core-side or L1-side and consume walker bandwidth).
-    const Cycle trans_done = trans.translateData(addr, now);
-    const Addr line = lineAlign(addr);
-
-    if (!is_demand) {
-        // A prefetch to a line already present or pending is dropped
-        // without counting as "issued".
-        if (l1dCache.contains(line) || l1dCache.outstandingMiss(line, now))
-            return {trans_done, HitLevel::L1, false};
-        prefIssuedCount[static_cast<unsigned>(fill_origin)]++;
-    }
-
-    AccessResult result =
-        accessLine(kind, line, trans_done, is_demand, is_store, fill_origin);
+    const AccessResult result =
+        demandLine(kind, lineAlign(addr), trans.translateData(addr, now));
 
     if (kind == AccessKind::Load) {
         const bool l1_hit = result.level == HitLevel::L1;
@@ -203,16 +181,40 @@ MemorySystem::access(AccessKind kind, Addr pc, Addr addr, Cycle now)
     return result;
 }
 
+AccessResult
+MemorySystem::prefetch(AccessKind kind, Addr addr, Cycle now)
+{
+    // Prefetches translate too: they are issued core-side or L1-side
+    // and consume walker bandwidth.
+    const Cycle trans_done = trans.translateData(addr, now);
+    const Addr line = lineAlign(addr);
+
+    // A prefetch to a line already present or pending is dropped
+    // without counting as "issued". The probe answers both questions
+    // the L1D part of a demand access would ask, so an issued
+    // prefetch goes straight to the miss path.
+    if (l1dCache.dropsPrefetch(line, now))
+        return {trans_done, HitLevel::L1, false};
+
+    PrefetchOrigin fill_origin = PrefetchOrigin::Stride;
+    if (kind == AccessKind::PrefSvr)
+        fill_origin = PrefetchOrigin::Svr;
+    else if (kind == AccessKind::PrefImp)
+        fill_origin = PrefetchOrigin::Imp;
+    prefIssuedCount[static_cast<unsigned>(fill_origin)]++;
+    return missLine(kind, line, trans_done, false, false, fill_origin);
+}
+
 void
 MemorySystem::issuePrefetches(const std::vector<Addr> &lines, Cycle now,
                               AccessKind kind)
 {
-    // No defensive copy: the recursive access() calls are all
-    // prefetch-kind, and only demand loads append to the scratch
-    // vector (train/observer run under kind == Load), so `lines` is
-    // stable across the loop.
+    // No drain pass: the demand access that produced these candidates
+    // just drained at `now`, and every miss allocated since completes
+    // after `now`. No defensive copy either: prefetch() never appends
+    // to the scratch vector, so `lines` is stable across the loop.
     for (std::size_t i = 0; i < lines.size(); i++)
-        access(kind, 0, lines[i], now);
+        prefetch(kind, lines[i], now);
 }
 
 AccessResult

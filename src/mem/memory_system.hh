@@ -189,9 +189,14 @@ class MemorySystem
     std::uint64_t llcPrefEvictedUnused(PrefetchOrigin origin) const;
 
   private:
-    AccessResult accessLine(AccessKind kind, Addr line, Cycle start,
-                            bool is_demand, bool is_store,
-                            PrefetchOrigin fill_origin);
+    /** A demand load/store of @p line whose translation ends at @p start. */
+    AccessResult demandLine(AccessKind kind, Addr line, Cycle start);
+    /** The L1D-miss part of an access: MSHR, L2, DRAM. */
+    AccessResult missLine(AccessKind kind, Addr line, Cycle start,
+                          bool is_demand, bool is_store,
+                          PrefetchOrigin fill_origin);
+    /** A prefetch of any kind, after the drain pass. */
+    AccessResult prefetch(AccessKind kind, Addr addr, Cycle now);
     void issuePrefetches(const std::vector<Addr> &lines, Cycle now,
                          AccessKind kind);
     void drainAll(Cycle now);

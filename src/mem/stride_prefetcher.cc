@@ -1,124 +1,40 @@
 #include "mem/stride_prefetcher.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace svr
 {
 
 StridePrefetcher::StridePrefetcher(const StridePrefetcherParams &params)
-    : p(params)
+    : p(params), hint(2 * std::size_t{params.tableEntries})
 {
     if (p.tableEntries == 0)
         fatal("StridePrefetcher: need at least one table entry");
     table.resize(p.tableEntries);
-    // <= 50% load at a full table; valid entries never exceed
-    // tableEntries, so the index never grows.
-    const std::size_t cap = std::bit_ceil<std::size_t>(
-        std::max<std::size_t>(16, 2 * p.tableEntries));
-    pcSlots.assign(cap, -1);
-    pcSlotMask = cap - 1;
-}
-
-std::size_t
-StridePrefetcher::pcHash(Addr pc) const
-{
-    std::uint64_t h = pc * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h) & pcSlotMask;
-}
-
-std::int32_t
-StridePrefetcher::pcIndexFind(Addr pc) const
-{
-    std::size_t s = pcHash(pc);
-    while (true) {
-        const std::int32_t idx = pcSlots[s];
-        if (idx < 0)
-            return -1;
-        const Entry &e = table[static_cast<std::size_t>(idx)];
-        if (e.valid && e.pc == pc)
-            return idx;
-        s = (s + 1) & pcSlotMask;
-    }
-}
-
-void
-StridePrefetcher::pcIndexInsert(Addr pc, std::int32_t idx)
-{
-    std::size_t s = pcHash(pc);
-    while (pcSlots[s] >= 0)
-        s = (s + 1) & pcSlotMask;
-    pcSlots[s] = idx;
-}
-
-void
-StridePrefetcher::pcIndexErase(Addr pc)
-{
-    std::size_t hole = pcHash(pc);
-    while (true) {
-        const std::int32_t idx = pcSlots[hole];
-        if (idx < 0)
-            return; // not indexed (nothing to erase)
-        if (table[static_cast<std::size_t>(idx)].pc == pc)
-            break;
-        hole = (hole + 1) & pcSlotMask;
-    }
-    // Backward-shift deletion keeps probe chains tombstone-free.
-    std::size_t j = hole;
-    while (true) {
-        j = (j + 1) & pcSlotMask;
-        const std::int32_t moved = pcSlots[j];
-        if (moved < 0)
-            break;
-        const std::size_t ideal =
-            pcHash(table[static_cast<std::size_t>(moved)].pc);
-        if (((j - ideal) & pcSlotMask) >= ((j - hole) & pcSlotMask)) {
-            pcSlots[hole] = moved;
-            hole = j;
-        }
-    }
-    pcSlots[hole] = -1;
 }
 
 void
 StridePrefetcher::train(Addr pc, Addr addr, std::vector<Addr> &out)
 {
-    // Hot path: the PC index finds a trained entry in O(1). The miss
-    // path keeps the original fully associative scan so the victim
-    // choice (and hence all table contents) is bit-identical to the
-    // scan-only implementation.
-    Entry *entry = nullptr;
-    const std::int32_t found = pcIndexFind(pc);
-    if (found >= 0) {
-        entry = &table[static_cast<std::size_t>(found)];
-    } else {
+    Entry *entry = hint.find(table, hintKey(pc), [pc](const Entry &e) {
+        return e.valid && e.pc == pc;
+    });
+    if (!entry) {
+        // The scan that picks the victim: the last invalid slot, else
+        // the least recently used one.
         Entry *victim = &table[0];
         for (auto &e : table) {
-            if (e.valid && e.pc == pc) {
-                entry = &e;
-                break;
-            }
             if (!e.valid || e.lastUse < victim->lastUse)
                 victim = &e;
         }
-        if (!entry) {
-            if (victim->valid)
-                pcIndexErase(victim->pc);
-            *victim = Entry{};
-            victim->pc = pc;
-            victim->valid = true;
-            victim->prevAddr = addr;
-            victim->lastUse = ++useClock;
-            pcIndexInsert(
-                pc, static_cast<std::int32_t>(victim - table.data()));
-            return;
-        }
-        // Scan found an entry the index missed: repair the index.
-        pcIndexInsert(pc,
-                      static_cast<std::int32_t>(entry - table.data()));
+        *victim = Entry{};
+        victim->pc = pc;
+        victim->valid = true;
+        victim->prevAddr = addr;
+        victim->lastUse = ++useClock;
+        hint.set(hintKey(pc),
+                 static_cast<std::uint32_t>(victim - table.data()));
+        return;
     }
     entry->lastUse = ++useClock;
     const auto delta = static_cast<std::int64_t>(addr) -
@@ -153,12 +69,22 @@ StridePrefetcher::train(Addr pc, Addr addr, std::vector<Addr> &out)
     }
 }
 
+std::vector<Addr>
+StridePrefetcher::residentPcs() const
+{
+    std::vector<Addr> out;
+    out.reserve(table.size());
+    for (const Entry &e : table)
+        out.push_back(e.valid ? e.pc : ~Addr{0});
+    return out;
+}
+
 void
 StridePrefetcher::reset()
 {
     for (auto &e : table)
         e = Entry{};
-    std::fill(pcSlots.begin(), pcSlots.end(), -1);
+    hint.clear();
     useClock = 0;
     issued = 0;
 }

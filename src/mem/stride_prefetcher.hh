@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/slot_hints.hh"
 #include "common/types.hh"
 
 namespace svr
@@ -39,6 +40,9 @@ class StridePrefetcher
     /** Drop all table state. */
     void reset();
 
+    /** The load PC held in each slot (~0 when empty), for tests. */
+    std::vector<Addr> residentPcs() const;
+
     std::uint64_t issued = 0;
 
   private:
@@ -52,27 +56,20 @@ class StridePrefetcher
         std::uint64_t lastUse = 0;
     };
 
-    /** Probe start slot for @p pc in the PC index. */
-    std::size_t pcHash(Addr pc) const;
-    /** Table index holding @p pc, or -1. */
-    std::int32_t pcIndexFind(Addr pc) const;
-    /** Point the PC index at table[idx]. */
-    void pcIndexInsert(Addr pc, std::int32_t idx);
-    /** Drop @p pc from the PC index (backward-shift deletion). */
-    void pcIndexErase(Addr pc);
+    /** Hint key of a load PC (instructions are 4-byte aligned). */
+    static std::uint64_t hintKey(Addr pc) { return pc >> 2; }
 
     StridePrefetcherParams p;
     std::vector<Entry> table;
     std::uint64_t useClock = 0;
     /**
-     * Open-addressed PC -> table-index map so the common trained-PC
-     * case skips the fully associative scan (entries install from the
-     * back of the table, so hot PCs would otherwise pay a full scan on
-     * every load). Victim choice still uses the original scan on
-     * misses, so behavior is unchanged.
+     * Load PC -> slot guess, checked before use (common/slot_hints.hh),
+     * so the common trained-PC case skips the fully associative scan
+     * (entries install from the back of the table, so hot PCs would
+     * otherwise pay a full scan on every load). Victim choice still
+     * scans, so behavior is unchanged.
      */
-    std::vector<std::int32_t> pcSlots;
-    std::size_t pcSlotMask = 0;
+    SlotHints hint;
 };
 
 } // namespace svr

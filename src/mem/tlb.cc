@@ -8,7 +8,8 @@ namespace svr
 {
 
 Tlb::Tlb(unsigned num_entries, unsigned associativity)
-    : assoc(associativity)
+    : assoc(associativity),
+      hint(std::max<std::size_t>(64, 2 * std::size_t{num_entries}))
 {
     if (num_entries == 0 || associativity == 0 ||
         num_entries % associativity != 0) {
@@ -30,22 +31,18 @@ Tlb::setOf(Addr page) const
 }
 
 bool
-Tlb::lookup(Addr addr)
+Tlb::lookupScan(Addr page)
 {
-    const Addr page = pageAlign(addr);
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(page)) * assoc;
-    // Branchless all-ways compare (at most one way can match: insert
-    // only runs after a failed lookup, so tags are unique per set).
-    unsigned hit_way = assoc;
-    for (unsigned w = 0; w < assoc; w++) {
-        if (pages[base + w] == page)
-            hit_way = w;
-    }
-    if (hit_way != assoc) {
-        lastUse[base + hit_way] = ++useClock;
-        hits++;
-        return true;
+    // At most one way can match: insert only runs after a failed
+    // lookup of the same page, so tags are unique per set.
+    const std::size_t base = static_cast<std::size_t>(setOf(page)) * assoc;
+    for (std::size_t i = base; i < base + assoc; i++) {
+        if (pages[i] == page) {
+            hint.set(page / pageBytes, static_cast<std::uint32_t>(i));
+            lastUse[i] = ++useClock;
+            hits++;
+            return true;
+        }
     }
     misses++;
     return false;
@@ -64,14 +61,20 @@ Tlb::insert(Addr addr)
     if (fillCount[set] < assoc) {
         w = fillCount[set]++;
     } else {
+        // Select-based argmin: which way is older is data-dependent,
+        // so a branch here mispredicts about once per new minimum.
+        const std::uint64_t *stamp = &lastUse[base];
+        std::uint64_t oldest = stamp[0];
         w = 0;
         for (unsigned i = 1; i < assoc; i++) {
-            if (lastUse[base + i] < lastUse[base + w])
-                w = i;
+            const bool older = stamp[i] < oldest;
+            oldest = older ? stamp[i] : oldest;
+            w = older ? i : w;
         }
     }
     pages[base + w] = page;
     lastUse[base + w] = ++useClock;
+    hint.set(page / pageBytes, static_cast<std::uint32_t>(base + w));
 }
 
 void
@@ -80,6 +83,7 @@ Tlb::reset()
     std::fill(pages.begin(), pages.end(), emptyTag);
     std::fill(lastUse.begin(), lastUse.end(), 0);
     std::fill(fillCount.begin(), fillCount.end(), 0);
+    hint.clear();
     useClock = 0;
     hits = misses = 0;
 }
@@ -107,32 +111,15 @@ TranslationStack::walk(Cycle now)
 }
 
 Cycle
-TranslationStack::translateData(Addr addr, Cycle now)
+TranslationStack::refill(Tlb &l1, Addr addr, Cycle now)
 {
-    if (dtlbImpl.lookup(addr))
-        return now;
     if (stlbImpl.lookup(addr)) {
-        dtlbImpl.insert(addr);
+        l1.insert(addr);
         return now + p.stlbHitLatency;
     }
     const Cycle done = walk(now + p.stlbHitLatency);
     stlbImpl.insert(addr);
-    dtlbImpl.insert(addr);
-    return done;
-}
-
-Cycle
-TranslationStack::translateInstr(Addr addr, Cycle now)
-{
-    if (itlbImpl.lookup(addr))
-        return now;
-    if (stlbImpl.lookup(addr)) {
-        itlbImpl.insert(addr);
-        return now + p.stlbHitLatency;
-    }
-    const Cycle done = walk(now + p.stlbHitLatency);
-    stlbImpl.insert(addr);
-    itlbImpl.insert(addr);
+    l1.insert(addr);
     return done;
 }
 

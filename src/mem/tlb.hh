@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/slot_hints.hh"
 #include "common/types.hh"
 
 namespace svr
@@ -27,13 +28,26 @@ class Tlb
     Tlb(unsigned entries, unsigned assoc);
 
     /** Probe for the page containing @p addr; updates LRU on hit. */
-    bool lookup(Addr addr);
+    bool
+    lookup(Addr addr)
+    {
+        const Addr page = pageAlign(addr);
+        const std::size_t slot = hint.get(page / pageBytes);
+        if (pages[slot] != page)
+            return lookupScan(page);
+        lastUse[slot] = ++useClock;
+        hits++;
+        return true;
+    }
 
     /** Install the translation for @p addr's page. */
     void insert(Addr addr);
 
     /** Drop all entries and statistics. */
     void reset();
+
+    /** The page held in each slot, set-major (~0 when empty), for tests. */
+    const std::vector<Addr> &residentPages() const { return pages; }
 
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -47,21 +61,28 @@ class Tlb
     static constexpr Addr emptyTag = ~static_cast<Addr>(0);
 
     unsigned setOf(Addr page) const;
+    /** lookup() behind a wrong hint: scan @p page's set. */
+    bool lookupScan(Addr page);
 
     unsigned assoc;
     unsigned numSets;
     /**
-     * Structure-of-arrays layout: the lookup scan touches only the
-     * page tags (a branchless all-ways compare the compiler can
-     * vectorize — this is the hottest loop in the memory system), and
-     * the LRU stamps live separately. Ways fill front-to-back
-     * (fillCount per set), so "first invalid way" is just the fill
-     * cursor and eviction is an argmin over unique lastUse stamps —
-     * both identical choices to the scan-based implementation.
+     * Structure-of-arrays layout: page tags in one array, LRU stamps in
+     * a parallel one. Ways fill front-to-back (fillCount per set), so
+     * "first invalid way" is just the fill cursor and eviction is an
+     * argmin over unique lastUse stamps.
+     *
+     * A hit costs one compare: `hint` maps the page number to the slot
+     * that last held it, and lookup() checks that slot's tag before it
+     * scans the set. Tags are unique within a set and never equal to
+     * emptyTag, so a matching hinted slot is exactly the way the scan
+     * would find; a stale or aliased hint only falls back to the scan.
+     * Victim choice, LRU stamps and hits/misses never read the hints.
      */
     std::vector<Addr> pages;              // numSets * assoc tags
     std::vector<std::uint64_t> lastUse;   // parallel LRU stamps
     std::vector<std::uint16_t> fillCount; // valid ways per set
+    SlotHints hint;                       // page number -> slot guess
     std::uint64_t useClock = 0;
 };
 
@@ -88,10 +109,18 @@ class TranslationStack
     explicit TranslationStack(const TranslationParams &params);
 
     /** Translate a data access starting at @p now. */
-    Cycle translateData(Addr addr, Cycle now);
+    Cycle
+    translateData(Addr addr, Cycle now)
+    {
+        return dtlbImpl.lookup(addr) ? now : refill(dtlbImpl, addr, now);
+    }
 
     /** Translate an instruction fetch starting at @p now. */
-    Cycle translateInstr(Addr addr, Cycle now);
+    Cycle
+    translateInstr(Addr addr, Cycle now)
+    {
+        return itlbImpl.lookup(addr) ? now : refill(itlbImpl, addr, now);
+    }
 
     /** Reset all TLB and walker state. */
     void reset();
@@ -104,6 +133,8 @@ class TranslationStack
 
   private:
     Cycle walk(Cycle now);
+    /** A first-level miss in @p l1: S-TLB, else a walk; fills @p l1. */
+    Cycle refill(Tlb &l1, Addr addr, Cycle now);
 
     TranslationParams p;
     Tlb dtlbImpl;

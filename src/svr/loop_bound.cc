@@ -23,7 +23,7 @@ loopBoundModeName(LoopBoundMode mode)
 }
 
 LoopBoundPredictor::LoopBoundPredictor(const LoopBoundParams &params)
-    : p(params)
+    : p(params), hint(2 * std::size_t{params.entries})
 {
     if (p.entries == 0)
         fatal("LoopBoundPredictor: need at least one entry");
@@ -33,12 +33,14 @@ LoopBoundPredictor::LoopBoundPredictor(const LoopBoundParams &params)
 LoopBoundPredictor::Entry &
 LoopBoundPredictor::lookupOrAllocate(Addr pc)
 {
+    if (Entry *e = find(pc)) {
+        e->lastUse = ++useClock;
+        return *e;
+    }
+    // The scan that picks the victim: the last invalid slot, else the
+    // least recently used one.
     Entry *victim = &table[0];
     for (auto &e : table) {
-        if (e.valid && e.pc == pc) {
-            e.lastUse = ++useClock;
-            return e;
-        }
         if (!e.valid || e.lastUse < victim->lastUse)
             victim = &e;
     }
@@ -46,17 +48,8 @@ LoopBoundPredictor::lookupOrAllocate(Addr pc)
     victim->pc = pc;
     victim->valid = true;
     victim->lastUse = ++useClock;
+    hint.set(hintKey(pc), static_cast<std::uint32_t>(victim - table.data()));
     return *victim;
-}
-
-LoopBoundPredictor::Entry *
-LoopBoundPredictor::find(Addr pc)
-{
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc)
-            return &e;
-    }
-    return nullptr;
 }
 
 void
@@ -274,12 +267,23 @@ LoopBoundPredictor::predict(Addr load_pc, unsigned max_lanes,
     }
 }
 
+std::vector<Addr>
+LoopBoundPredictor::residentPcs() const
+{
+    std::vector<Addr> out;
+    out.reserve(table.size());
+    for (const Entry &e : table)
+        out.push_back(e.valid ? e.pc : ~Addr{0});
+    return out;
+}
+
 void
 LoopBoundPredictor::reset()
 {
     for (auto &e : table)
         e = Entry{};
     useClock = 0;
+    hint.clear();
     lbdTrainings = cvScavenges = 0;
     tournamentChoseLbd = tournamentChoseEwma = 0;
 }

@@ -14,6 +14,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/slot_hints.hh"
 #include "common/types.hh"
 
 namespace svr
@@ -92,6 +93,9 @@ class LoopBoundPredictor
     /** Drop all state. */
     void reset();
 
+    /** The load PC held in each slot (~0 when empty), for tests. */
+    std::vector<Addr> residentPcs() const;
+
     /** Statistics. */
     std::uint64_t lbdTrainings = 0;
     std::uint64_t cvScavenges = 0;
@@ -131,7 +135,14 @@ class LoopBoundPredictor
     };
 
     Entry &lookupOrAllocate(Addr pc);
-    Entry *find(Addr pc);
+
+    Entry *
+    find(Addr pc)
+    {
+        return hint.find(table, hintKey(pc), [pc](const Entry &e) {
+            return e.valid && e.pc == pc;
+        });
+    }
     void foldEwma(Entry &e, unsigned sample);
     unsigned ewmaPrediction(const Entry &e, unsigned max_lanes) const;
     unsigned lbdPrediction(const Entry &e, unsigned max_lanes,
@@ -139,9 +150,17 @@ class LoopBoundPredictor
                            const std::function<RegVal(RegId)> &read_reg,
                            bool &ok);
 
+    /** Hint key of a load PC (instructions are 4-byte aligned). */
+    static std::uint64_t hintKey(Addr pc) { return pc >> 2; }
+
     LoopBoundParams p;
     std::vector<Entry> table;
     std::uint64_t useClock = 0;
+    /**
+     * Load PC -> slot guess, checked before use (common/slot_hints.hh);
+     * the scan stays as the fallback and alone picks victims.
+     */
+    SlotHints hint;
 };
 
 } // namespace svr

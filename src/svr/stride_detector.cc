@@ -1,5 +1,6 @@
 #include "svr/stride_detector.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -7,44 +8,43 @@
 namespace svr
 {
 
-StrideDetector::StrideDetector(const StrideDetectorParams &params) : p(params)
+StrideDetector::StrideDetector(const StrideDetectorParams &params)
+    : p(params), hint(2 * std::size_t{params.entries})
 {
     if (p.entries == 0)
         fatal("StrideDetector: need at least one entry");
     table.resize(p.entries);
+    seenAt.assign(p.entries, 0);
 }
 
-StrideEntry *
-StrideDetector::find(Addr pc)
+StrideEntry &
+StrideDetector::install(StrideEntry *victim, Addr pc)
 {
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc)
-            return &e;
-    }
-    return nullptr;
+    *victim = StrideEntry{};
+    victim->pc = pc;
+    victim->valid = true;
+    seenAt[slotOf(*victim)] = 0;
+    hint.set(hintKey(pc), static_cast<std::uint32_t>(slotOf(*victim)));
+    return *victim;
 }
 
 StrideObservation
 StrideDetector::observe(Addr pc, Addr addr)
 {
     StrideObservation obs;
-    StrideEntry *entry = nullptr;
-    StrideEntry *victim = &table[0];
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc) {
-            entry = &e;
-            break;
-        }
-        if (!e.valid || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
+    StrideEntry *entry = find(pc);
     if (!entry) {
-        *victim = StrideEntry{};
-        victim->pc = pc;
-        victim->valid = true;
-        victim->prevAddress = addr;
-        victim->lastUse = ++useClock;
-        obs.entry = victim;
+        // The scan that picks the victim: the last invalid slot, else
+        // the least recently used one.
+        StrideEntry *victim = &table[0];
+        for (auto &e : table) {
+            if (!e.valid || e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        StrideEntry &fresh = install(victim, pc);
+        fresh.prevAddress = addr;
+        fresh.lastUse = ++useClock;
+        obs.entry = &fresh;
         return obs;
     }
     entry->lastUse = ++useClock;
@@ -112,10 +112,7 @@ StrideDetector::seed(Addr pc, std::int64_t stride)
             if (e.lastUse < victim->lastUse)
                 victim = &e;
         }
-        *victim = StrideEntry{};
-        victim->pc = pc;
-        victim->valid = true;
-        entry = victim;
+        entry = &install(victim, pc);
     }
     entry->stride = stride;
     entry->satCounter = p.confidenceThreshold;
@@ -126,10 +123,11 @@ StrideDetector::seed(Addr pc, std::int64_t stride)
 void
 StrideDetector::clearSeenExcept(Addr except_pc)
 {
-    for (auto &e : table) {
-        if (e.valid && e.pc != except_pc)
-            e.seen = false;
-    }
+    const StrideEntry *keep = find(except_pc);
+    const bool kept = keep && seen(*keep);
+    seenEpoch++;
+    if (kept)
+        markSeen(*keep);
 }
 
 void
@@ -147,14 +145,35 @@ StrideDetector::reset()
     for (auto &e : table)
         e = StrideEntry{};
     useClock = 0;
+    hint.clear();
+    std::fill(seenAt.begin(), seenAt.end(), 0);
+    seenEpoch = 1;
+}
+
+std::vector<StrideEntry>
+StrideDetector::entries() const
+{
+    std::vector<StrideEntry> out = table;
+    for (std::size_t i = 0; i < out.size(); i++) {
+        if (out[i].valid)
+            out[i].seen = seenAt[i] == seenEpoch;
+    }
+    return out;
 }
 
 void
 StrideDetector::importEntries(const std::vector<StrideEntry> &entries,
                               std::uint64_t clock)
 {
-    for (std::size_t i = 0; i < table.size(); i++)
+    // A valid entry's Seen bit moves into its epoch stamp; an invalid
+    // one keeps its field (clearSeenExcept never touched those).
+    seenEpoch = 1;
+    for (std::size_t i = 0; i < table.size(); i++) {
         table[i] = i < entries.size() ? entries[i] : StrideEntry{};
+        seenAt[i] = table[i].valid && table[i].seen ? seenEpoch : 0;
+        if (table[i].valid)
+            table[i].seen = false;
+    }
     useClock = clock;
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/slot_hints.hh"
 #include "common/types.hh"
 
 namespace svr
@@ -27,7 +28,14 @@ struct StrideEntry
     unsigned satCounter = 0;       //!< 2-bit confidence
     Addr lastPrefetch = 0;         //!< end of the range covered last round
     bool hasLastPrefetch = false;  //!< waiting-mode range is armed
-    bool seen = false;             //!< for nested/independent loop handling
+    /**
+     * Seen bit, for nested/independent loop handling. Exported entries
+     * (StrideDetector::entries()) carry it; a live detector keeps a
+     * valid entry's bit as an epoch stamp, so clearing every other
+     * entry's bit is O(1). Read and set it on a live entry with
+     * StrideDetector::seen()/markSeen().
+     */
+    bool seen = false;
     std::uint16_t lil = 0;         //!< 16 LSBs of the last indirect load PC
     unsigned lilConfidence = 0;    //!< 2-bit confidence in the LIL
     bool hasLil = false;
@@ -97,7 +105,23 @@ class StrideDetector
     StrideObservation observe(Addr pc, Addr addr);
 
     /** Find an entry without modifying it (nullptr if absent). */
-    StrideEntry *find(Addr pc);
+    StrideEntry *
+    find(Addr pc)
+    {
+        return hint.find(table, hintKey(pc), [pc](const StrideEntry &e) {
+            return e.valid && e.pc == pc;
+        });
+    }
+
+    /** The Seen bit of live entry @p e (one of this detector's). */
+    bool
+    seen(const StrideEntry &e) const
+    {
+        return seenAt[slotOf(e)] == seenEpoch;
+    }
+
+    /** Set the Seen bit of live entry @p e. */
+    void markSeen(const StrideEntry &e) { seenAt[slotOf(e)] = seenEpoch; }
 
     /**
      * Oracle-install an entry for @p pc at full confidence with
@@ -108,7 +132,7 @@ class StrideDetector
      */
     void seed(Addr pc, std::int64_t stride);
 
-    /** Clear all Seen bits except the one for @p except_pc. */
+    /** Clear all Seen bits except the one for @p except_pc (O(1)). */
     void clearSeenExcept(Addr except_pc);
 
     /** Give useless-round-suppressed entries another chance. */
@@ -122,8 +146,11 @@ class StrideDetector
 
     // ---- Warm-state transfer (sampled simulation / checkpoints) ----
 
-    /** The full table, slot by slot (invalid entries included). */
-    const std::vector<StrideEntry> &entries() const { return table; }
+    /**
+     * A copy of the full table, slot by slot (invalid entries
+     * included), with each entry's Seen bit filled in.
+     */
+    std::vector<StrideEntry> entries() const;
 
     /** Current LRU clock (monotone lastUse source). */
     std::uint64_t clock() const { return useClock; }
@@ -137,9 +164,36 @@ class StrideDetector
                        std::uint64_t clock);
 
   private:
+    std::size_t
+    slotOf(const StrideEntry &e) const
+    {
+        return static_cast<std::size_t>(&e - table.data());
+    }
+
+    /** Reset slot @p victim to a fresh entry for @p pc. */
+    StrideEntry &install(StrideEntry *victim, Addr pc);
+
+    /** Hint key of a load PC (instructions are 4-byte aligned). */
+    static std::uint64_t hintKey(Addr pc) { return pc >> 2; }
+
     StrideDetectorParams p;
     std::vector<StrideEntry> table;
     std::uint64_t useClock = 0;
+    /**
+     * Load PC -> slot guess, checked against the slot's valid bit and
+     * PC before use (see common/slot_hints.hh): a hit skips the
+     * fully associative scan, a miss falls back to it, and victim
+     * choice never reads the hints.
+     */
+    SlotHints hint;
+    /**
+     * Seen bits as epoch stamps: an entry is Seen iff its stamp equals
+     * seenEpoch. clearSeenExcept() advances the epoch (clearing every
+     * bit at once) and re-stamps the kept entry. A fresh entry's stamp
+     * is 0, which no epoch equals.
+     */
+    std::vector<std::uint64_t> seenAt;
+    std::uint64_t seenEpoch = 1;
 };
 
 } // namespace svr

@@ -58,6 +58,7 @@ SvrEngine::reset()
     instrsSinceGovernorReset = 0;
     governorUsefulBase = 0;
     governorUnusedBase = 0;
+    governorSeenUseful = governorSeenUnused = governorUnseen;
     st = SvrEngineStats{};
     events.clear();
     chains.clear();
@@ -87,9 +88,16 @@ SvrEngine::importState(const SvrEngineSnapshot &snapshot)
     banned = snapshot.governorBanned;
     // The governor's accuracy window restarts against this engine's
     // (possibly fresh) memory system: re-anchor the counter bases.
+    rebaseGovernor();
+}
+
+void
+SvrEngine::rebaseGovernor()
+{
     instrsSinceGovernorReset = 0;
     governorUsefulBase = mem.llcPrefFirstUse(PrefetchOrigin::Svr);
     governorUnusedBase = mem.llcPrefEvictedUnused(PrefetchOrigin::Svr);
+    governorSeenUseful = governorSeenUnused = governorUnseen;
 }
 
 Cycle
@@ -115,10 +123,18 @@ SvrEngine::updateGovernor()
 {
     if (!p.accuracyGovernor || banned)
         return;
-    const std::uint64_t useful =
-        mem.llcPrefFirstUse(PrefetchOrigin::Svr) - governorUsefulBase;
-    const std::uint64_t unused =
-        mem.llcPrefEvictedUnused(PrefetchOrigin::Svr) - governorUnusedBase;
+    // The verdict is a function of the two counters and their bases
+    // alone, so it can only change when a counter moved since the last
+    // evaluation (rebaseGovernor() forces the next one).
+    const std::uint64_t first_use = mem.llcPrefFirstUse(PrefetchOrigin::Svr);
+    const std::uint64_t evicted =
+        mem.llcPrefEvictedUnused(PrefetchOrigin::Svr);
+    if (first_use == governorSeenUseful && evicted == governorSeenUnused)
+        return;
+    governorSeenUseful = first_use;
+    governorSeenUnused = evicted;
+    const std::uint64_t useful = first_use - governorUsefulBase;
+    const std::uint64_t unused = evicted - governorUnusedBase;
     if (useful + unused < p.governorWarmup)
         return;
     const double accuracy = static_cast<double>(useful) /
@@ -250,7 +266,7 @@ SvrEngine::triggerRound(const DynInst &dyn, const StrideEntry &entry,
     taint.clear();
     sd.clearSeenExcept(dyn.pc);
     if (StrideEntry *e = sd.find(dyn.pc)) {
-        e->seen = true;
+        sd.markSeen(*e);
         e->lastPrefetch = static_cast<Addr>(
             static_cast<std::int64_t>(dyn.addr) +
             entry.stride * static_cast<std::int64_t>(roundLanes));
@@ -470,145 +486,167 @@ SvrEngine::observeControl(const DynInst &dyn)
     }
 }
 
+StrideObservation
+SvrEngine::observeLoad(const DynInst &dyn)
+{
+    // The stride detector observes every load (training continues even
+    // while the governor has triggering banned).
+    const StrideObservation obs = sd.observe(dyn.pc, dyn.addr);
+    if (obs.matched)
+        lbp.onStrideMatch(dyn.pc);
+    else
+        lbp.onStrideDiscontinuity(dyn.pc);
+    return obs;
+}
+
+Cycle
+SvrEngine::idleLoad(const DynInst &dyn, const StrideObservation &obs,
+                    Cycle issue_cycle)
+{
+    // Seen-bit maintenance: reaching the HSLR load clears all other
+    // Seen bits (section IV-A6, independent loops).
+    if (hslrValid && dyn.pc == hslrPc)
+        sd.clearSeenExcept(hslrPc);
+    if (banned || !obs.isStriding)
+        return issue_cycle;
+
+    StrideEntry *e = obs.entry;
+    if (p.waitingMode && obs.inWaitRange) {
+        st.waitSuppressed++;
+        logEvent(SvrEventKind::WaitSuppress, dyn.pc, issue_cycle);
+        return issue_cycle;
+    }
+    bool trigger = false;
+    if (!hslrValid || dyn.pc == hslrPc) {
+        trigger = true;
+    } else if (sd.seen(*e)) {
+        // Independent-loop retarget: second sighting of a non-HSLR
+        // striding load.
+        st.retargets++;
+        logEvent(SvrEventKind::Retarget, dyn.pc, issue_cycle);
+        trigger = true;
+    } else if (p.nestedRunahead) {
+        // Experimental nesting: if the HSLR's own range is fully
+        // covered (waiting), spend the idle runahead capacity on this
+        // (outer) chain.
+        const StrideEntry *head = sd.find(hslrPc);
+        if (head && head->hasLastPrefetch) {
+            st.nestedRounds++;
+            trigger = true;
+        } else {
+            sd.markSeen(*e);
+        }
+    } else {
+        sd.markSeen(*e);
+    }
+    return trigger ? triggerRound(dyn, *e, issue_cycle) : issue_cycle;
+}
+
+Cycle
+SvrEngine::roundIssue(const DynInst &dyn, Cycle issue_cycle)
+{
+    const Instruction &inst = *dyn.si;
+    const bool is_load = inst.isLoad();
+    StrideObservation obs;
+    if (is_load)
+        obs = observeLoad(dyn);
+
+    prmInstrCount++;
+    if (dyn.pc == hslrPc) {
+        // One full iteration of the indirect chain: round done.
+        terminateRound(false, issue_cycle);
+    } else if (prmInstrCount > p.prmTimeout) {
+        terminateRound(true, issue_cycle);
+    }
+    if (!prmActive) {
+        // The round ended here: the instruction takes the idle path.
+        if (is_load)
+            return idleLoad(dyn, obs, issue_cycle);
+        if (reachesControl(inst))
+            observeControl(dyn);
+        return issue_cycle;
+    }
+
+    // Still in the round, so this is not the HSLR load (which would
+    // have ended it above).
+    Cycle block_until = issue_cycle;
+    if (is_load && obs.isStriding && !banned) {
+        StrideEntry *e = obs.entry;
+        const bool waiting = p.waitingMode && obs.inWaitRange;
+        if (sd.seen(*e)) {
+            // Second sighting within the round: this is an inner loop.
+            // Abort and retarget runahead to it.
+            st.roundsAborted++;
+            logEvent(SvrEventKind::NestedAbort, dyn.pc, issue_cycle);
+            terminateRound(false, issue_cycle);
+            sd.clearSeenExcept(dyn.pc);
+            if (!waiting)
+                block_until = triggerRound(dyn, *e, issue_cycle);
+        } else {
+            sd.markSeen(*e);
+            if (!waiting &&
+                !(p.chainUtilityGate &&
+                  e->uselessRounds >= p.uselessRoundLimit)) {
+                // Unrolled loop: vectorize this second chain too,
+                // sharing the round's mask.
+                st.extraChains++;
+#ifdef SVR_ARCHCHECK_ENABLED
+                if (p.recordChains) {
+                    DynChainRecord &rec = chains[dyn.pc];
+                    rec.stride = e->stride;
+                    rec.extraRounds++;
+                    chains[hslrPc].extraRootPcs.insert(dyn.pc);
+                }
+#endif
+                logEvent(SvrEventKind::ExtraChain, dyn.pc, issue_cycle,
+                         roundLanes);
+                e->lastPrefetch = static_cast<Addr>(
+                    static_cast<std::int64_t>(dyn.addr) +
+                    e->stride * static_cast<std::int64_t>(roundLanes));
+                e->hasLastPrefetch = true;
+                generateTriggerCopies(dyn, e->stride, issue_cycle);
+                block_until =
+                    issue_cycle + (roundLanes + p.svuWidth - 1) / p.svuWidth;
+            }
+        }
+    } else if (!lilStopped) {
+        generateDependentCopies(dyn, issue_cycle);
+    } else if (is_load && inst.rs1 != invalidReg &&
+               taint.tainted(inst.rs1)) {
+        // An indirect load after the recorded LIL: the LIL was wrong;
+        // decay its confidence.
+        if (StrideEntry *head = sd.find(hslrPc);
+            head && head->lilConfidence > 0) {
+            head->lilConfidence--;
+        }
+    }
+    if (reachesControl(inst))
+        observeControl(dyn);
+    return block_until;
+}
+
 Cycle
 SvrEngine::onIssue(const DynInst &dyn, Cycle issue_cycle)
 {
-    const Instruction &inst = *dyn.si;
-    Cycle block_until = issue_cycle;
-
     // Accuracy-governor window: reset (and unban) every interval.
-    instrsSinceGovernorReset++;
-    if (p.accuracyGovernor &&
-        instrsSinceGovernorReset >= p.governorResetInterval) {
-        instrsSinceGovernorReset = 0;
+    if (++instrsSinceGovernorReset >= p.governorResetInterval &&
+        p.accuracyGovernor) {
         banned = false;
-        governorUsefulBase = mem.llcPrefFirstUse(PrefetchOrigin::Svr);
-        governorUnusedBase = mem.llcPrefEvictedUnused(PrefetchOrigin::Svr);
+        rebaseGovernor();
         sd.resetUselessness();
     }
 
-    // The stride detector observes every load (training continues even
-    // while the governor has triggering banned).
-    StrideObservation obs;
-    const bool is_load = inst.isLoad();
-    if (is_load) {
-        obs = sd.observe(dyn.pc, dyn.addr);
-        if (obs.matched)
-            lbp.onStrideMatch(dyn.pc);
-        else
-            lbp.onStrideDiscontinuity(dyn.pc);
-    }
-
-    if (prmActive) {
-        prmInstrCount++;
-        if (dyn.pc == hslrPc) {
-            // One full iteration of the indirect chain: round done.
-            terminateRound(false, issue_cycle);
-        } else if (prmInstrCount > p.prmTimeout) {
-            terminateRound(true, issue_cycle);
-        }
-    }
-
-    // Seen-bit maintenance: reaching the HSLR load clears all other
-    // Seen bits (section IV-A6, independent loops).
-    if (is_load && hslrValid && dyn.pc == hslrPc)
-        sd.clearSeenExcept(hslrPc);
-
-    if (prmActive) {
-        if (is_load && obs.isStriding && dyn.pc != hslrPc && !banned) {
-            StrideEntry *e = obs.entry;
-            const bool waiting = p.waitingMode && obs.inWaitRange;
-            if (e->seen) {
-                // Second sighting within the round: this is an inner
-                // loop. Abort and retarget runahead to it.
-                st.roundsAborted++;
-                logEvent(SvrEventKind::NestedAbort, dyn.pc, issue_cycle);
-                terminateRound(false, issue_cycle);
-                sd.clearSeenExcept(dyn.pc);
-                if (!waiting)
-                    block_until = triggerRound(dyn, *e, issue_cycle);
-            } else {
-                e->seen = true;
-                if (!waiting &&
-                    !(p.chainUtilityGate &&
-                      e->uselessRounds >= p.uselessRoundLimit)) {
-                    // Unrolled loop: vectorize this second chain too,
-                    // sharing the round's mask.
-                    st.extraChains++;
-#ifdef SVR_ARCHCHECK_ENABLED
-                    if (p.recordChains) {
-                        DynChainRecord &rec = chains[dyn.pc];
-                        rec.stride = e->stride;
-                        rec.extraRounds++;
-                        chains[hslrPc].extraRootPcs.insert(dyn.pc);
-                    }
-#endif
-                    logEvent(SvrEventKind::ExtraChain, dyn.pc,
-                             issue_cycle, roundLanes);
-                    e->lastPrefetch = static_cast<Addr>(
-                        static_cast<std::int64_t>(dyn.addr) +
-                        e->stride *
-                            static_cast<std::int64_t>(roundLanes));
-                    e->hasLastPrefetch = true;
-                    generateTriggerCopies(dyn, e->stride, issue_cycle);
-                    block_until = std::max(
-                        block_until,
-                        issue_cycle + (roundLanes + p.svuWidth - 1) /
-                                          p.svuWidth);
-                }
-            }
-        } else if (prmActive) {
-            if (!lilStopped)
-                generateDependentCopies(dyn, issue_cycle);
-            else if (is_load && inst.rs1 != invalidReg &&
-                     taint.tainted(inst.rs1)) {
-                // An indirect load after the recorded LIL: the LIL was
-                // wrong; decay its confidence.
-                if (StrideEntry *head = sd.find(hslrPc);
-                    head && head->lilConfidence > 0) {
-                    head->lilConfidence--;
-                }
-            }
-        }
+    // Outside a round only loads do work (detector probe, loop-bound
+    // update, trigger check); compares and branches train the LC
+    // register and the LBD.
+    const Instruction &inst = *dyn.si;
+    Cycle block_until = issue_cycle;
+    if (prmActive)
+        block_until = roundIssue(dyn, issue_cycle);
+    else if (inst.isLoad())
+        block_until = idleLoad(dyn, observeLoad(dyn), issue_cycle);
+    else if (reachesControl(inst))
         observeControl(dyn);
-    } else {
-        observeControl(dyn);
-        if (is_load && !banned && obs.entry) {
-            StrideEntry *e = obs.entry;
-            const bool waiting = p.waitingMode && obs.inWaitRange;
-            if (obs.isStriding && waiting) {
-                st.waitSuppressed++;
-                logEvent(SvrEventKind::WaitSuppress, dyn.pc, issue_cycle);
-            }
-            if (obs.isStriding && !waiting) {
-                bool trigger = false;
-                if (!hslrValid || dyn.pc == hslrPc) {
-                    trigger = true;
-                } else if (e->seen) {
-                    // Independent-loop retarget: second sighting of a
-                    // non-HSLR striding load.
-                    st.retargets++;
-                    logEvent(SvrEventKind::Retarget, dyn.pc, issue_cycle);
-                    trigger = true;
-                } else if (p.nestedRunahead) {
-                    // Experimental nesting: if the HSLR's own range is
-                    // fully covered (waiting), spend the idle runahead
-                    // capacity on this (outer) chain.
-                    const StrideEntry *head = sd.find(hslrPc);
-                    if (head && head->hasLastPrefetch) {
-                        st.nestedRounds++;
-                        trigger = true;
-                    } else {
-                        e->seen = true;
-                    }
-                } else {
-                    e->seen = true;
-                }
-                if (trigger)
-                    block_until = triggerRound(dyn, *e, issue_cycle);
-            }
-        }
-    }
 
     updateGovernor();
     return block_until;

@@ -239,6 +239,23 @@ class SvrEngine : public RunaheadEngine
     void importState(const SvrEngineSnapshot &snapshot);
 
   private:
+    /**
+     * onIssue() inside a round (it may end the round, see there). Out
+     * of line, so the idle path's frame stays small.
+     */
+    [[gnu::noinline]] Cycle roundIssue(const DynInst &dyn,
+                                       Cycle issue_cycle);
+    /** Stride-detector and loop-bound update for a load. */
+    StrideObservation observeLoad(const DynInst &dyn);
+    /** A load outside a round: Seen bits and the trigger check. */
+    Cycle idleLoad(const DynInst &dyn, const StrideObservation &obs,
+                   Cycle issue_cycle);
+    /** Only compares and conditional branches reach observeControl(). */
+    static bool
+    reachesControl(const Instruction &inst)
+    {
+        return inst.isCompare() || inst.isCondBranch();
+    }
     /** Enter PRM triggered by striding load @p dyn. */
     Cycle triggerRound(const DynInst &dyn, const StrideEntry &entry,
                        Cycle issue_cycle);
@@ -251,8 +268,13 @@ class SvrEngine : public RunaheadEngine
     void terminateRound(bool timed_out, Cycle cycle);
     /** Handle compare/branch bookkeeping (LC, LBD training, masks). */
     void observeControl(const DynInst &dyn);
-    /** Accuracy-governor update; returns true when banned. */
+    /**
+     * Accuracy-governor update: bans SVR when LLC accuracy falls below
+     * the threshold. Re-evaluates only when a counter has moved.
+     */
     void updateGovernor();
+    /** Restart the governor window at the current counter values. */
+    void rebaseGovernor();
     /** SVU occupancy: schedule @p copies scalar issues from @p from. */
     Cycle svuSchedule(unsigned copies, Cycle from);
     /** Append to the event log when enabled. */
@@ -295,6 +317,10 @@ class SvrEngine : public RunaheadEngine
     std::uint64_t instrsSinceGovernorReset = 0;
     std::uint64_t governorUsefulBase = 0;
     std::uint64_t governorUnusedBase = 0;
+    /** Counter values at the last evaluation (governorUnseen: none). */
+    static constexpr std::uint64_t governorUnseen = ~std::uint64_t{0};
+    std::uint64_t governorSeenUseful = governorUnseen;
+    std::uint64_t governorSeenUnused = governorUnseen;
 
     SvrEngineStats st;
     std::vector<SvrEvent> events;

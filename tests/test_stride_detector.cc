@@ -126,13 +126,13 @@ TEST(StrideDetector, SeenBitsClearedExcept)
     sd.observe(0x400, 0x1000);
     sd.observe(0x500, 0x2000);
     sd.observe(0x600, 0x3000);
-    sd.find(0x400)->seen = true;
-    sd.find(0x500)->seen = true;
-    sd.find(0x600)->seen = true;
+    sd.markSeen(*sd.find(0x400));
+    sd.markSeen(*sd.find(0x500));
+    sd.markSeen(*sd.find(0x600));
     sd.clearSeenExcept(0x500);
-    EXPECT_FALSE(sd.find(0x400)->seen);
-    EXPECT_TRUE(sd.find(0x500)->seen);
-    EXPECT_FALSE(sd.find(0x600)->seen);
+    EXPECT_FALSE(sd.seen(*sd.find(0x400)));
+    EXPECT_TRUE(sd.seen(*sd.find(0x500)));
+    EXPECT_FALSE(sd.seen(*sd.find(0x600)));
 }
 
 TEST(StrideDetector, LruEviction)

@@ -61,8 +61,11 @@
 #include "core/executor.hh"
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
+#include "mem/memory_system.hh"
+#include "mem/tlb.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
+#include "svr/svr_engine.hh"
 #include "workloads/hpcdb_kernels.hh"
 #include "workloads/suites.hh"
 #include "workloads/workload.hh"
@@ -220,6 +223,71 @@ mshrAllocDrainNs(unsigned reps, std::uint64_t iters)
         cache.drainCompletedMisses(now, [](const EvictResult &) {});
         now += 10;
         line = (line + 64) & ((1 << 20) - 1);
+    });
+}
+
+/** One D-TLB hit: translations cycling over 16 resident pages. */
+double
+dtlbTranslateHitNs(unsigned reps, std::uint64_t iters)
+{
+    TranslationStack trans(TranslationParams{});
+    constexpr Addr base = 0x10000000;
+    for (Addr i = 0; i < 16; i++)
+        trans.translateData(base + i * pageBytes, 0);
+    volatile Cycle sink = 0;
+    return nsPerCall(reps, iters, [&](std::uint64_t i) {
+        sink = trans.translateData(base + (i * 5 & 15) * pageBytes + 64, 1);
+    });
+}
+
+/**
+ * One dropped prefetch: a stride prefetch to a line already in the
+ * L1D, through the public access() path (drain check, translation,
+ * present-or-pending probe).
+ */
+double
+prefetchDropNs(unsigned reps, std::uint64_t iters)
+{
+    MemParams params;
+    params.enableStridePf = false;
+    MemorySystem mem(params);
+    constexpr Addr base = 0x10000000;
+    constexpr Addr lines = 256;
+    for (Addr i = 0; i < lines; i++)
+        mem.access(AccessKind::Load, 0, base + i * cacheLineBytes, 0);
+    const Cycle now = 1000000; // every fill has drained by now
+    mem.access(AccessKind::Load, 0, base, now);
+    volatile Cycle sink = 0;
+    return nsPerCall(reps, iters, [&](std::uint64_t i) {
+        sink = mem.access(AccessKind::PrefStride, 0,
+                          base + (i & (lines - 1)) * cacheLineBytes, now)
+                   .done;
+    });
+}
+
+/**
+ * One SvrEngine::onIssue() outside a round: the camel kernel's own
+ * instruction stream, recorded once, with a confidence threshold no
+ * 2-bit counter reaches so no load ever triggers a round.
+ */
+double
+svrOnIssueIdleNs(const WorkloadInstance &w, unsigned reps,
+                 std::uint64_t iters)
+{
+    MemorySystem mem(MemParams{});
+    Executor exec(*w.program, *w.mem);
+    SvrParams sp;
+    sp.stride.confidenceThreshold = 4;
+    SvrEngine engine(sp, mem, exec);
+    std::vector<DynInst> stream(4096);
+    for (DynInst &d : stream) {
+        if (exec.halted())
+            exec.restart();
+        d = exec.step();
+    }
+    volatile Cycle sink = 0;
+    return nsPerCall(reps, iters, [&](std::uint64_t i) {
+        sink = engine.onIssue(stream[i & (stream.size() - 1)], i);
     });
 }
 
@@ -692,10 +760,16 @@ try {
     const double hot_ns = cacheLookupNs(reps, prim_iters, 8 * 64);
     const double cyc_ns = cacheLookupNs(reps, prim_iters, 64 * 1024);
     const double mshr_ns = mshrAllocDrainNs(reps, prim_iters);
+    const double tlb_ns = dtlbTranslateHitNs(reps, prim_iters);
+    const double drop_ns = prefetchDropNs(reps, prim_iters);
+    const double idle_ns = svrOnIssueIdleNs(w, reps, prim_iters);
     std::fprintf(stderr,
                  "  step %.1f ns, read %.1f ns, write %.1f ns, "
-                 "lookup hot/cyclic %.1f/%.1f ns, mshr %.1f ns\n",
-                 step_ns, read_ns, write_ns, hot_ns, cyc_ns, mshr_ns);
+                 "lookup hot/cyclic %.1f/%.1f ns, mshr %.1f ns, "
+                 "dtlb hit %.1f ns, prefetch drop %.1f ns, "
+                 "svr idle onIssue %.1f ns\n",
+                 step_ns, read_ns, write_ns, hot_ns, cyc_ns, mshr_ns,
+                 tlb_ns, drop_ns, idle_ns);
 
     std::string json;
     appendf(json, "{\n");
@@ -719,7 +793,10 @@ try {
     appendf(json, "    \"functional_write64\": %.3f,\n", write_ns);
     appendf(json, "    \"cache_lookup_hot\": %.3f,\n", hot_ns);
     appendf(json, "    \"cache_lookup_cyclic\": %.3f,\n", cyc_ns);
-    appendf(json, "    \"mshr_alloc_drain\": %.3f\n", mshr_ns);
+    appendf(json, "    \"mshr_alloc_drain\": %.3f,\n", mshr_ns);
+    appendf(json, "    \"dtlb_translate_hit\": %.3f,\n", tlb_ns);
+    appendf(json, "    \"prefetch_drop\": %.3f,\n", drop_ns);
+    appendf(json, "    \"svr_onissue_idle\": %.3f\n", idle_ns);
     appendf(json, "  }\n");
     appendf(json, "}\n");
 
