@@ -31,7 +31,8 @@ FunctionalMemory::FunctionalMemory(std::shared_ptr<const Image> image)
 FunctionalMemory::Image::Image(FunctionalMemory &&built)
     : table(std::move(built.table))
 {
-    built.clear();
+    built.table = PageTable{};
+    built.flushCaches();
 }
 
 void
@@ -178,13 +179,6 @@ FunctionalMemory::snapshotPages() const
                   return a.pageNum < b.pageNum;
               });
     return pages;
-}
-
-void
-FunctionalMemory::clear()
-{
-    table = PageTable{};
-    flushCaches();
 }
 
 void

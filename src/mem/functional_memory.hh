@@ -162,6 +162,12 @@ class FunctionalMemory
     }
 
     // ---- Checkpointing (sim/checkpoint.hh) ----------------------------
+    //
+    // A Checkpoint holds its memory as an Image: capture freezes this
+    // memory into one and re-forks it, restore assigns a fork of it.
+    // Only the byte format reads and writes pages one at a time, with
+    // snapshotPages() on a fork and installPage()/setAllocTop() on a
+    // fresh memory that it then freezes.
 
     /** Base of the data segment: the freshly-constructed alloc cursor. */
     static constexpr Addr dataBase = 0x10000000;
@@ -180,21 +186,14 @@ class FunctionalMemory
     /**
      * Every materialized page, sorted by page number (deterministic
      * order for serialization). Pointers remain valid until the next
-     * write()/restore()/clear() on this memory.
+     * write to, or assignment of, this memory.
      */
     std::vector<PageRef> snapshotPages() const;
 
     /**
-     * Drop every page (and a fork's image) and translation-cache entry
-     * and reset the bump allocator, returning to the
-     * freshly-constructed state.
-     */
-    void clear();
-
-    /**
      * Materialize page @p page_num (< pageNumLimit) and overwrite it
-     * with @p data (pageBytes bytes). Restore path: callers clear()
-     * first, then install each snapshot page.
+     * with @p data (pageBytes bytes). Deserialization path: a fresh
+     * memory installs each saved page, then is frozen into an Image.
      */
     void installPage(Addr page_num, const std::uint8_t *data);
 
@@ -370,13 +369,13 @@ class FunctionalMemory
 
     PageTable table;
 
-    // Translation caches. Page and dir pointers stay valid until
-    // clear(): pages are never freed before the FunctionalMemory
-    // itself, and a copy-on-write copy repoints the read-cache entry
-    // of its page. All levels are direct-mapped with several entries
-    // rather than a single register: workloads typically alternate
-    // between a few data structures (e.g. index array and gather
-    // tables), which thrashes a one-entry cache. The dir cache in
+    // Translation caches. Page and dir pointers stay valid until the
+    // table is frozen or reassigned, which flushes the caches: pages
+    // are never freed before, and a copy-on-write copy repoints the
+    // read-cache entry of its page. All levels are direct-mapped with
+    // several entries rather than a single register: workloads
+    // typically alternate between a few data structures (e.g. index
+    // array and gather tables), which thrashes a one-entry cache. The dir cache in
     // particular covers all of a workload's hot 2 MiB regions at once,
     // keeping the root hash map off the per-access path entirely —
     // sized for paper-scale footprints (64 x 2 MiB = 128 MiB), where
@@ -401,7 +400,10 @@ class FunctionalMemory
 class FunctionalMemory::Image
 {
   public:
-    /** Freeze @p built: its pages move here (no copy); it is left clear. */
+    /**
+     * Freeze @p built: its pages move here (no copy); it is left
+     * freshly constructed.
+     */
     explicit Image(FunctionalMemory &&built);
 
   private:

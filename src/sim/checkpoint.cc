@@ -133,24 +133,22 @@ class ByteReader
         return v != 0;
     }
 
-    void
-    bytes(void *dst, std::size_t n)
+    /** The next @p n bytes, in place. */
+    const char *
+    view(std::size_t n)
     {
         if (n > in.size() - pos)
             corrupt("truncated");
-        std::memcpy(dst, in.data() + pos, n);
+        const char *p = in.data() + pos;
         pos += n;
+        return p;
     }
 
     std::string
     str()
     {
         const std::uint32_t n = u32();
-        if (n > in.size() - pos)
-            corrupt("truncated");
-        std::string s(in.substr(pos, n));
-        pos += n;
-        return s;
+        return std::string(view(n), n);
     }
 
     bool done() const { return pos == in.size(); }
@@ -201,20 +199,16 @@ getStrideEntry(ByteReader &r)
 } // namespace
 
 Checkpoint
-captureCheckpoint(const Executor &exec, const FunctionalMemory &mem,
+captureCheckpoint(const Executor &exec, FunctionalMemory &mem,
                   std::string workload_name, const SvrEngine *engine)
 {
     Checkpoint ck;
     ck.workload = std::move(workload_name);
     ck.arch = exec.exportArchState();
-    ck.instructions = ck.arch.seq;
-    ck.allocTop = mem.allocTop();
-    const auto pages = mem.snapshotPages();
-    ck.pages.resize(pages.size());
-    for (std::size_t i = 0; i < pages.size(); i++) {
-        ck.pages[i].pageNum = pages[i].pageNum;
-        std::memcpy(ck.pages[i].data.data(), pages[i].data, pageBytes);
-    }
+    // Freeze the memory and go on on a fork of it: the image is never
+    // written again.
+    ck.mem = std::make_shared<const FunctionalMemory::Image>(std::move(mem));
+    mem = FunctionalMemory(ck.mem);
     if (engine) {
         ck.hasSvr = true;
         ck.svr = engine->exportState();
@@ -226,23 +220,22 @@ void
 restoreCheckpoint(const Checkpoint &ck, Executor &exec,
                   FunctionalMemory &mem)
 {
-    mem.clear();
-    for (const CheckpointPage &page : ck.pages)
-        mem.installPage(page.pageNum, page.data.data());
-    mem.setAllocTop(ck.allocTop);
     exec.importArchState(ck.arch);
+    mem = FunctionalMemory(ck.mem);
 }
 
 std::string
 serializeCheckpoint(const Checkpoint &ck)
 {
+    const FunctionalMemory mem(ck.mem);
+    const auto pages = mem.snapshotPages();
     std::string out;
     // Header + arch state is ~300 bytes; pages dominate.
-    out.reserve(sizeof(magic) + 320 + ck.pages.size() * (pageBytes + 8));
+    out.reserve(sizeof(magic) + 320 + pages.size() * (pageBytes + 8));
     ByteWriter w(out);
     w.bytes(magic, sizeof(magic));
     w.str(ck.workload);
-    w.u64(ck.instructions);
+    w.u64(ck.arch.seq); // the instruction count
     for (RegVal reg : ck.arch.regs)
         w.u64(reg);
     w.u8(ck.arch.flags.eq);
@@ -251,11 +244,11 @@ serializeCheckpoint(const Checkpoint &ck)
     w.u64(ck.arch.pcIndex);
     w.u8(ck.arch.halted);
     w.u64(ck.arch.seq);
-    w.u64(ck.allocTop);
-    w.u64(ck.pages.size());
-    for (const CheckpointPage &page : ck.pages) {
+    w.u64(mem.allocTop());
+    w.u64(pages.size());
+    for (const FunctionalMemory::PageRef &page : pages) {
         w.u64(page.pageNum);
-        w.bytes(page.data.data(), pageBytes);
+        w.bytes(page.data, pageBytes);
     }
     w.u8(ck.hasSvr);
     if (ck.hasSvr) {
@@ -272,14 +265,12 @@ Checkpoint
 deserializeCheckpoint(std::string_view bytes)
 {
     ByteReader r(bytes);
-    char tag[sizeof(magic)];
-    r.bytes(tag, sizeof(tag));
-    if (std::memcmp(tag, magic, sizeof(magic)) != 0)
+    if (std::memcmp(r.view(sizeof(magic)), magic, sizeof(magic)) != 0)
         corrupt("bad magic (not a checkpoint, or a newer format)");
 
     Checkpoint ck;
     ck.workload = r.str();
-    ck.instructions = r.u64();
+    const std::uint64_t instructions = r.u64();
     for (RegVal &reg : ck.arch.regs)
         reg = r.u64();
     ck.arch.flags.eq = r.flag();
@@ -288,10 +279,12 @@ deserializeCheckpoint(std::string_view bytes)
     ck.arch.pcIndex = r.u64();
     ck.arch.halted = r.flag();
     ck.arch.seq = r.u64();
-    ck.allocTop = r.u64();
-    // restoreCheckpoint() could not install a cursor below the data
-    // segment; reject it here as corruption.
-    if (ck.allocTop < FunctionalMemory::dataBase)
+    if (instructions != ck.arch.seq)
+        corrupt("instruction count disagrees with the sequence number");
+    const Addr alloc_top = r.u64();
+    // No memory can hold a cursor below the data segment; reject it
+    // here as corruption.
+    if (alloc_top < FunctionalMemory::dataBase)
         corrupt("allocation cursor below the data base");
 
     const std::uint64_t num_pages = r.u64();
@@ -299,19 +292,22 @@ deserializeCheckpoint(std::string_view bytes)
     // possibly fit is corruption, not a huge allocation request.
     if (num_pages > bytes.size() / pageBytes + 1)
         corrupt("page count exceeds payload");
-    ck.pages.resize(static_cast<std::size_t>(num_pages));
+    FunctionalMemory mem;
     Addr prev_page = 0;
-    for (std::size_t i = 0; i < ck.pages.size(); i++) {
-        ck.pages[i].pageNum = r.u64();
+    for (std::uint64_t i = 0; i < num_pages; i++) {
+        const Addr page_num = r.u64();
         // A larger number has no 64-bit address: installing it would
         // wrap onto a low page.
-        if (ck.pages[i].pageNum >= FunctionalMemory::pageNumLimit)
+        if (page_num >= FunctionalMemory::pageNumLimit)
             corrupt("page number beyond the address space");
-        if (i > 0 && ck.pages[i].pageNum <= prev_page)
+        if (i > 0 && page_num <= prev_page)
             corrupt("page numbers not strictly increasing");
-        prev_page = ck.pages[i].pageNum;
-        r.bytes(ck.pages[i].data.data(), pageBytes);
+        prev_page = page_num;
+        mem.installPage(page_num, reinterpret_cast<const std::uint8_t *>(
+                                      r.view(pageBytes)));
     }
+    mem.setAllocTop(alloc_top);
+    ck.mem = std::make_shared<const FunctionalMemory::Image>(std::move(mem));
 
     ck.hasSvr = r.flag();
     if (ck.hasSvr) {

@@ -3,14 +3,17 @@
  * Restorable simulation checkpoints. A Checkpoint captures everything
  * the functional machine needs to resume a workload mid-region: the
  * full architectural state (registers, flags, PC, halt flag, sequence
- * number), the sparse functional-memory image (every materialized
- * page plus the bump-allocator cursor), and optionally the SVR
- * engine's persistent predictor state (stride-detector SRAM +
- * governor ban). Checkpoints serialize to a versioned little-endian
- * byte format; deserialization validates the magic, version, and
- * exact length, throwing SimError(IoError) on any corruption, so a
- * truncated or bit-flipped artifact can never silently restore into a
- * wrong machine state.
+ * number), the frozen copy-on-write functional-memory image (every
+ * materialized page plus the bump-allocator cursor), and optionally
+ * the SVR engine's persistent predictor state (stride-detector SRAM +
+ * governor ban). It is also the rung of the sampled fast-forward
+ * ladder (sim/sampled_sim.hh). Capture freezes the live memory into
+ * the image and re-forks it; restore forks the image. Checkpoints
+ * serialize to a versioned little-endian byte format;
+ * deserialization validates the magic, version, and exact length,
+ * throwing SimError(IoError) on any corruption, so a truncated or
+ * bit-flipped artifact can never silently restore into a wrong
+ * machine state.
  *
  * Restoring reconstructs the machine bit-identically: a run that is
  * checkpointed at instruction N and resumed produces exactly the same
@@ -21,11 +24,9 @@
 #ifndef SVR_SIM_CHECKPOINT_HH
 #define SVR_SIM_CHECKPOINT_HH
 
-#include <array>
-#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hh"
 #include "core/executor.hh"
@@ -35,47 +36,41 @@
 namespace svr
 {
 
-/** One checkpointed 4 KiB page (owning copy, unlike PageRef). */
-struct CheckpointPage
-{
-    Addr pageNum = 0;
-    std::array<std::uint8_t, pageBytes> data{};
-};
-
 /**
  * A restorable snapshot of the functional machine. Plain data:
- * capture/restore/serialize are free functions below.
+ * capture/restore/serialize are free functions below. Copies share
+ * the frozen memory image.
  */
 struct Checkpoint
 {
     /** Workload instance name, as a restore-time sanity tag. */
     std::string workload;
 
-    /** Committed instructions at capture time (== arch.seq). */
-    std::uint64_t instructions = 0;
-
+    /** arch.seq is the committed instruction count at capture. */
     ExecArchState arch;
-    Addr allocTop = 0;
-    std::vector<CheckpointPage> pages; //!< sorted by pageNum
+    /** Every page and the allocation cursor, frozen (never written). */
+    std::shared_ptr<const FunctionalMemory::Image> mem;
 
     bool hasSvr = false;
     SvrEngineSnapshot svr; //!< meaningful only when hasSvr
 };
 
 /**
- * Capture the current machine state. @p engine, when non-null, adds
- * the SVR predictor snapshot (engine must not be mid-round).
+ * Capture the current machine state. @p mem is frozen into the
+ * checkpoint's image and becomes a copy-on-write fork of it, so the
+ * capture moves page directories and copies no page. @p engine, when
+ * non-null, adds the SVR predictor snapshot (engine must not be
+ * mid-round).
  */
-Checkpoint captureCheckpoint(const Executor &exec,
-                             const FunctionalMemory &mem,
+Checkpoint captureCheckpoint(const Executor &exec, FunctionalMemory &mem,
                              std::string workload_name,
                              const SvrEngine *engine = nullptr);
 
 /**
- * Restore @p ck into @p exec / @p mem: memory is cleared and rebuilt
- * from the page images, the allocator cursor and architectural state
- * are reinstated. The executor must have been built over the same
- * program the checkpoint was captured from (PC bounds are validated).
+ * Restore @p ck into @p exec / @p mem: the architectural state is
+ * reinstated and @p mem becomes a fork of the image. The executor must
+ * have been built over the same program the checkpoint was captured
+ * from (PC bounds are validated).
  */
 void restoreCheckpoint(const Checkpoint &ck, Executor &exec,
                        FunctionalMemory &mem);
@@ -85,7 +80,8 @@ std::string serializeCheckpoint(const Checkpoint &ck);
 
 /**
  * Parse serializeCheckpoint() output. Throws SimError(IoError) on bad
- * magic/version, truncation, or trailing garbage.
+ * magic/version, truncation, trailing garbage, or a machine state no
+ * capture can produce.
  */
 Checkpoint deserializeCheckpoint(std::string_view bytes);
 

@@ -14,7 +14,7 @@
 namespace svr
 {
 
-std::optional<FastForwardLadder::Rung>
+std::optional<Checkpoint>
 FastForwardLadder::find(SeqNum seq) const
 {
     std::lock_guard<std::mutex> lock(mtx);
@@ -25,8 +25,9 @@ FastForwardLadder::find(SeqNum seq) const
 }
 
 void
-FastForwardLadder::publish(SeqNum seq, Rung rung)
+FastForwardLadder::publish(Checkpoint rung)
 {
+    const SeqNum seq = rung.arch.seq;
     std::lock_guard<std::mutex> lock(mtx);
     rungs.try_emplace(seq, std::move(rung));
 }
@@ -35,37 +36,31 @@ namespace
 {
 
 /**
- * Advance @p exec (over @p mem) by up to @p n instructions: restore
- * the rung at the target from @p ladder if it has one, else execute
- * functionally and, on reaching the target unhalted, publish it there.
- * Returns the number of instructions advanced (short when the program
- * halts); adds those it executed to @p r.fastForwarded.
+ * Advance @p exec (over @p w's memory) by up to @p n instructions:
+ * restore the rung at the target from @p w's ladder if it has one,
+ * else execute functionally and, on reaching the target unhalted,
+ * capture and publish a rung there. Returns the number of
+ * instructions advanced (short when the program halts); adds those it
+ * executed to @p r.fastForwarded.
  */
 std::uint64_t
-fastForward(Executor &exec, FunctionalMemory &mem, FastForwardLadder *ladder,
-            std::uint64_t n, SimResult &r)
+fastForward(Executor &exec, const WorkloadInstance &w, std::uint64_t n,
+            SimResult &r)
 {
     if (n == 0)
         return 0;
-    const SeqNum target = exec.instructionsExecuted() + n;
+    FastForwardLadder *ladder = w.ladder.get();
     if (ladder) {
-        if (std::optional<FastForwardLadder::Rung> rung =
-                ladder->find(target)) {
-            exec.importArchState(rung->arch);
-            mem = FunctionalMemory(std::move(rung->mem));
+        if (const std::optional<Checkpoint> rung =
+                ladder->find(exec.instructionsExecuted() + n)) {
+            restoreCheckpoint(*rung, exec, *w.mem);
             return n;
         }
     }
     const std::uint64_t done = exec.run(n);
     r.fastForwarded += done;
-    if (ladder && done == n && !exec.halted()) {
-        // Freeze the memory into the rung's image and go on on a fork
-        // of it: the image is never written again.
-        auto image =
-            std::make_shared<const FunctionalMemory::Image>(std::move(mem));
-        mem = FunctionalMemory(image);
-        ladder->publish(target, {exec.exportArchState(), std::move(image)});
-    }
+    if (ladder && done == n && !exec.halted())
+        ladder->publish(captureCheckpoint(exec, *w.mem, w.name));
     return done;
 }
 
@@ -139,8 +134,7 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         const std::uint64_t ff_target =
             period - window_target - warmup_target;
 
-        const std::uint64_t ffed =
-            fastForward(exec, *w.mem, w.ladder.get(), ff_target, r);
+        const std::uint64_t ffed = fastForward(exec, w, ff_target, r);
         done += ffed;
         if (ffed < ff_target || exec.halted()) {
             unsampled += ffed;

@@ -29,15 +29,16 @@
  * row starts from the same build. So the registers and memory at
  * absolute instruction count S are the same for every cell that
  * reaches S, however it got there. A row's FastForwardLadder keeps
- * them: one rung per window start S, holding the ExecArchState and a
- * frozen copy-on-write FunctionalMemory::Image. The first cell to
- * fast-forward to S freezes its memory into the rung's image, goes on
- * on a fork of it, and publishes the rung. Every later cell that is
- * about to fast-forward to S restores the rung in place instead (its
- * executor imports the state, its memory becomes a fork of the image).
- * A missing rung (a program that halts first, a sibling cell still
- * fast-forwarding, a row split across fabric leases) means a plain
- * fast-forward, so results never depend on which cell records.
+ * them: one rung per window start S, each a Checkpoint
+ * (sim/checkpoint.hh) without SVR state. The first cell to
+ * fast-forward to S captures the rung (its memory is frozen into the
+ * checkpoint's image and goes on as a fork of it) and publishes it.
+ * Every later cell that is about to fast-forward to S restores the
+ * rung in place instead (its executor imports the state, its memory
+ * becomes a fork of the image). A missing rung (a program that halts
+ * first, a sibling cell still fast-forwarding, a row split across
+ * fabric leases) means a plain fast-forward, so results never depend
+ * on which cell records.
  */
 
 #ifndef SVR_SIM_SAMPLED_SIM_HH
@@ -45,13 +46,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "core/executor.hh"
-#include "mem/functional_memory.hh"
+#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 
 namespace svr
@@ -70,34 +69,28 @@ struct SampleWindow
 
 /**
  * The window starts one sweep row's cells have fast-forwarded to, each
- * with the machine state there, keyed by absolute instruction count
- * (see the file comment). Rungs are immutable once published, and
- * publishing never waits for a reader: any thread may use a ladder.
- * A rung costs the pages the fast-forward before it wrote (each image
- * shares every older page with the rung below it) plus one page
- * directory per 2 MiB region of the footprint.
+ * a Checkpoint of the machine there, keyed by its instruction count
+ * (arch.seq; see the file comment). Rungs are immutable once
+ * published, and publishing never waits for a reader: any thread may
+ * use a ladder. A rung costs the pages the fast-forward before it
+ * wrote (each image shares every older page with the rung below it)
+ * plus one page directory per 2 MiB region of the footprint.
  */
 class FastForwardLadder
 {
   public:
-    struct Rung
-    {
-        ExecArchState arch;
-        std::shared_ptr<const FunctionalMemory::Image> mem;
-    };
-
     /** The rung at instruction count @p seq, if one was published. */
-    std::optional<Rung> find(SeqNum seq) const;
+    std::optional<Checkpoint> find(SeqNum seq) const;
 
     /**
-     * Publish @p rung at @p seq. A rung already there is kept: every
-     * publisher at one seq holds the same state.
+     * Publish @p rung at its instruction count. A rung already there is
+     * kept: every publisher at one count holds the same state.
      */
-    void publish(SeqNum seq, Rung rung);
+    void publish(Checkpoint rung);
 
   private:
     mutable std::mutex mtx;
-    std::map<SeqNum, Rung> rungs;
+    std::map<SeqNum, Checkpoint> rungs;
 };
 
 /**

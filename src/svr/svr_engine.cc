@@ -7,6 +7,15 @@
 namespace svr
 {
 
+namespace
+{
+
+/** Chain-utility score ceiling, and its drop per useful round. */
+constexpr unsigned uselessRoundMax = 8;
+constexpr unsigned usefulRoundCredit = 2;
+
+} // namespace
+
 SvrEngine::SvrEngine(const SvrParams &params, MemorySystem &memory,
                      Executor &executor)
     : p(params),
@@ -15,7 +24,7 @@ SvrEngine::SvrEngine(const SvrParams &params, MemorySystem &memory,
       sd(params.stride),
       srf(params.numSrfRegs, params.vectorLength),
       taint(srf, params.recycle),
-      lbp(params.loopBoundTable)
+      lbp(LoopBoundParams{})
 {
     if (p.vectorLength == 0 || p.svuWidth == 0)
         fatal("SvrEngine: vectorLength and svuWidth must be nonzero");
@@ -178,12 +187,12 @@ SvrEngine::terminateRound(bool timed_out, Cycle cycle)
     if (p.chainUtilityGate) {
         if (StrideEntry *e = sd.find(hslrPc)) {
             if (roundDependentMisses == 0) {
-                if (e->uselessRounds < p.uselessRoundMax)
+                if (e->uselessRounds < uselessRoundMax)
                     e->uselessRounds++;
             } else {
                 e->uselessRounds =
-                    e->uselessRounds > p.usefulRoundCredit
-                        ? e->uselessRounds - p.usefulRoundCredit
+                    e->uselessRounds > usefulRoundCredit
+                        ? e->uselessRounds - usefulRoundCredit
                         : 0;
             }
         }

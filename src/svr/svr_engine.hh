@@ -46,7 +46,6 @@ struct SvrParams
     unsigned svuWidth = 1;          //!< scalars through execute per cycle
     unsigned prmTimeout = 256;      //!< instruction timeout per round
     StrideDetectorParams stride;
-    LoopBoundParams loopBoundTable;
     LoopBoundMode loopBound = LoopBoundMode::Tournament;
     SrfRecycle recycle = SrfRecycle::LruRecycle;
 
@@ -59,8 +58,6 @@ struct SvrParams
      */
     bool chainUtilityGate = true;
     unsigned uselessRoundLimit = 6; //!< score at which triggering stops
-    unsigned uselessRoundMax = 8;   //!< score ceiling
-    unsigned usefulRoundCredit = 2; //!< score drop per useful round
     double governorThreshold = 0.5;
     std::uint64_t governorWarmup = 100;
     std::uint64_t governorResetInterval = 1000000;

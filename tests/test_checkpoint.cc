@@ -6,14 +6,20 @@
  *    to the machine it was captured from, both functionally and for a
  *    detailed timing continuation on every core model;
  *  - any corruption of the byte image (magic, truncation, trailing
- *    garbage, bad booleans) or memory state no machine can hold (a
- *    page beyond the address space, an allocation cursor below the
- *    data segment) throws SimError(IoError), never restores.
+ *    garbage, bad booleans) or machine state no capture can produce
+ *    (a page beyond the address space, an allocation cursor below the
+ *    data segment, an instruction count other than the sequence
+ *    number) throws SimError(IoError), never restores;
+ *  - the byte format itself is pinned by digest (CheckpointGolden).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "common/error.hh"
@@ -24,6 +30,7 @@
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
 #include "test_helpers.hh"
+#include "workloads/suites.hh"
 
 namespace svr
 {
@@ -59,13 +66,17 @@ void
 expectCheckpointEq(const Checkpoint &a, const Checkpoint &b)
 {
     EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_TRUE(a.arch == b.arch);
-    EXPECT_EQ(a.allocTop, b.allocTop);
-    ASSERT_EQ(a.pages.size(), b.pages.size());
-    for (std::size_t i = 0; i < a.pages.size(); i++) {
-        EXPECT_EQ(a.pages[i].pageNum, b.pages[i].pageNum);
-        EXPECT_EQ(a.pages[i].data, b.pages[i].data) << "page " << i;
+    const FunctionalMemory a_mem(a.mem), b_mem(b.mem);
+    EXPECT_EQ(a_mem.allocTop(), b_mem.allocTop());
+    const auto a_pages = a_mem.snapshotPages();
+    const auto b_pages = b_mem.snapshotPages();
+    ASSERT_EQ(a_pages.size(), b_pages.size());
+    for (std::size_t i = 0; i < a_pages.size(); i++) {
+        EXPECT_EQ(a_pages[i].pageNum, b_pages[i].pageNum);
+        EXPECT_EQ(std::memcmp(a_pages[i].data, b_pages[i].data, pageBytes),
+                  0)
+            << "page " << i;
     }
     ASSERT_EQ(a.hasSvr, b.hasSvr);
     ASSERT_EQ(a.svr.strideEntries.size(), b.svr.strideEntries.size());
@@ -125,8 +136,8 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip)
     const Checkpoint ck =
         captureCheckpoint(exec, *w.mem, w.name, &engine);
     EXPECT_TRUE(ck.hasSvr);
-    EXPECT_EQ(ck.instructions, exec.instructionsExecuted());
-    EXPECT_FALSE(ck.pages.empty());
+    EXPECT_EQ(ck.arch.seq, exec.instructionsExecuted());
+    EXPECT_GT(FunctionalMemory(ck.mem).pagesTouched(), 0u);
 
     const std::string bytes = serializeCheckpoint(ck);
     const Checkpoint back = deserializeCheckpoint(bytes);
@@ -383,45 +394,174 @@ TEST(Checkpoint, CorruptImagesAreRejected)
     EXPECT_GT(rejected, 0u);
 }
 
-/** The error deserializing @p ck's bytes throws; fails if none. */
-std::string
-rejection(const Checkpoint &ck)
+/**
+ * A checkpoint without SVR state as bytes, with field accessors: a
+ * memory that holds an impossible state can't be frozen, so these
+ * tests write it into the bytes directly.
+ */
+struct CheckpointBytes
 {
-    try {
-        deserializeCheckpoint(serializeCheckpoint(ck));
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.code(), ErrCode::IoError);
-        return e.message();
+    std::string bytes;
+    std::size_t pages;   //!< page count
+    std::size_t countAt; //!< offset of the instruction count
+
+    explicit CheckpointBytes(std::uint64_t instructions)
+    {
+        const WorkloadInstance w = ckptWorkload();
+        Executor exec(*w.program, *w.mem);
+        exec.run(instructions);
+        const Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
+        pages = FunctionalMemory(ck.mem).pagesTouched();
+        bytes = serializeCheckpoint(ck);
+        // After the magic and the length-prefixed workload name.
+        countAt = 8 + 4 + w.name.size();
     }
-    ADD_FAILURE() << "impossible checkpoint accepted";
-    return "";
-}
+
+    /** Offset of the page records: the trailing hasSvr byte is 0. */
+    std::size_t
+    pagesAt() const
+    {
+        return bytes.size() - 1 - pages * (8 + pageBytes);
+    }
+
+    void
+    put(std::size_t at, std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; i++)
+            bytes[at + i] = static_cast<char>(v >> (8 * i));
+    }
+
+    /** The error deserializing the bytes throws; fails if none. */
+    std::string
+    rejection() const
+    {
+        try {
+            deserializeCheckpoint(bytes);
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrCode::IoError);
+            return e.message();
+        }
+        ADD_FAILURE() << "impossible checkpoint accepted";
+        return "";
+    }
+};
 
 TEST(Checkpoint, PageBeyondTheAddressSpaceIsRejected)
 {
-    const WorkloadInstance w = ckptWorkload();
-    Executor exec(*w.program, *w.mem);
-    exec.run(4000);
-    Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
-    ASSERT_FALSE(ck.pages.empty());
+    CheckpointBytes ck(4000);
+    ASSERT_GT(ck.pages, 0u);
+    const std::size_t last_page = ck.bytes.size() - 1 - (8 + pageBytes);
     // pageNum << 12 would wrap this page onto address 0x1000.
-    ck.pages.back().pageNum = FunctionalMemory::pageNumLimit + 1;
-    EXPECT_NE(rejection(ck).find("page number"), std::string::npos);
-    ck.pages.back().pageNum = FunctionalMemory::pageNumLimit - 1;
-    EXPECT_NO_THROW(deserializeCheckpoint(serializeCheckpoint(ck)));
+    ck.put(last_page, FunctionalMemory::pageNumLimit + 1);
+    EXPECT_NE(ck.rejection().find("page number"), std::string::npos);
+    ck.put(last_page, FunctionalMemory::pageNumLimit - 1);
+    EXPECT_NO_THROW(deserializeCheckpoint(ck.bytes));
 }
 
 TEST(Checkpoint, AllocTopBelowTheDataBaseIsRejected)
 {
-    const WorkloadInstance w = ckptWorkload();
-    Executor exec(*w.program, *w.mem);
-    exec.run(4000);
-    Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
-    // restoreCheckpoint() would abort on this cursor.
-    ck.allocTop = FunctionalMemory::dataBase - 1;
-    EXPECT_NE(rejection(ck).find("allocation cursor"), std::string::npos);
-    ck.allocTop = FunctionalMemory::dataBase;
-    EXPECT_NO_THROW(deserializeCheckpoint(serializeCheckpoint(ck)));
+    CheckpointBytes ck(4000);
+    // The cursor precedes the page count.
+    const std::size_t alloc_top = ck.pagesAt() - 16;
+    // No memory could hold this cursor.
+    ck.put(alloc_top, FunctionalMemory::dataBase - 1);
+    EXPECT_NE(ck.rejection().find("allocation cursor"), std::string::npos);
+    ck.put(alloc_top, FunctionalMemory::dataBase);
+    EXPECT_NO_THROW(deserializeCheckpoint(ck.bytes));
+}
+
+TEST(Checkpoint, InstructionCountDisagreeingWithSeqIsRejected)
+{
+    CheckpointBytes ck(4000);
+    ck.put(ck.countAt, 4001);
+    EXPECT_NE(ck.rejection().find("instruction count disagrees"),
+              std::string::npos);
+    ck.put(ck.countAt, 4000);
+    EXPECT_EQ(deserializeCheckpoint(ck.bytes).arch.seq, 4000u);
+}
+
+// ---------------------------------------------------------------------
+// Byte format golden
+// ---------------------------------------------------------------------
+
+const std::string goldenPath =
+    std::string(SVR_GOLDEN_DIR) + "/checkpoint_digests.txt";
+
+/** 64-bit FNV-1a of @p bytes. */
+std::string
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ULL;
+    }
+    char buf[19];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/**
+ * Each quick-suite workload's checkpoint bytes after 20k instructions
+ * of SVR16 timing, predictor state included.
+ */
+std::map<std::string, std::string>
+currentDigests()
+{
+    const SimConfig config = presets::svrCore(16);
+    const WatchdogParams wd = resolveWatchdog(config);
+    std::map<std::string, std::string> d;
+    for (const WorkloadSpec &spec : quickSuite()) {
+        const WorkloadInstance w = spec.make();
+        Executor exec(*w.program, *w.mem);
+        MemorySystem mem(config.mem);
+        SvrEngine engine(config.svr, mem, exec);
+        InOrderCore core(config.inorder, mem);
+        core.setRunaheadEngine(&engine);
+        core.run(exec, 20000, wd);
+        d[spec.name] = fnv1a(serializeCheckpoint(
+            captureCheckpoint(exec, *w.mem, w.name, &engine)));
+    }
+    return d;
+}
+
+/**
+ * The SVRCKP01 format is pinned by digest
+ * (tests/golden/checkpoint_digests.txt): a change to how checkpoints
+ * are held or captured must leave it passing. Only an intentional
+ * format change (which also bumps the magic) rewrites it, with
+ *
+ *     UPDATE_GOLDEN=1 ./build/tests/svrsim_sampling_tests \
+ *         --gtest_filter='CheckpointGolden.*'
+ */
+TEST(CheckpointGolden, BytesMatchDigests)
+{
+    const auto now = currentDigests();
+    if (std::getenv("UPDATE_GOLDEN")) {
+        std::ofstream out(goldenPath);
+        out << "# FNV-1a 64 digests of serializeCheckpoint() bytes "
+               "(tests/test_checkpoint.cc):\n"
+               "# each quick-suite workload after 20k instructions of "
+               "SVR16 timing, with predictor state.\n";
+        for (const auto &[key, digest] : now)
+            out << key << ' ' << digest << '\n';
+        GTEST_SKIP() << "UPDATE_GOLDEN set: rewrote " << goldenPath;
+    }
+
+    std::map<std::string, std::string> golden;
+    std::ifstream in(goldenPath);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string key, digest;
+        fields >> key >> digest;
+        golden[key] = digest;
+    }
+    ASSERT_FALSE(golden.empty()) << "cannot read " << goldenPath;
+    EXPECT_EQ(now, golden);
 }
 
 } // namespace

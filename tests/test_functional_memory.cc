@@ -317,25 +317,26 @@ TEST(CowMemory, NeverMaterializedZeroPagesStayPrivate)
     EXPECT_EQ(b.pagesTouched(), ref.pagesTouched());
 }
 
-TEST(CowMemory, ClearAndInstallPageRestoreAFork)
+TEST(CowMemory, InstallPageRebuildsAFork)
 {
+    // The checkpoint byte format's load path: install every page of a
+    // fork into a fresh memory, set the cursor, freeze, fork again.
     const auto image = builtImage();
     FunctionalMemory donor(image);
     donor.write64(FunctionalMemory::dataBase, 42);
     donor.write64(0x7000, 43); // a page the image lacks
     const std::string want = pageBytesOf(donor);
 
-    FunctionalMemory a(image);
-    a.read64(FunctionalMemory::dataBase); // warm the caches
-    a.clear();
-    EXPECT_EQ(a.pagesTouched(), 0u);
-    EXPECT_EQ(a.allocTop(), FunctionalMemory::dataBase);
-    EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 0u);
+    FunctionalMemory a;
     for (const auto &page : donor.snapshotPages())
         a.installPage(page.pageNum, page.data);
     a.setAllocTop(donor.allocTop());
     EXPECT_EQ(pageBytesOf(a), want);
     EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 42u);
+    EXPECT_EQ(a.pagesTouched(), donor.pagesTouched());
+    const FunctionalMemory b(std::make_shared<const Image>(std::move(a)));
+    EXPECT_EQ(pageBytesOf(b), want);
+    EXPECT_EQ(b.allocTop(), donor.allocTop());
     EXPECT_EQ(FunctionalMemory(image).read64(FunctionalMemory::dataBase),
               0x1000u);
 }

@@ -250,7 +250,7 @@ TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
 
     const Checkpoint ck = deserializeCheckpoint(serializeCheckpoint(
         captureCheckpoint(exec1, *w1.mem, w1.name, &engine1)));
-    ASSERT_EQ(ck.instructions, exec1.instructionsExecuted());
+    ASSERT_EQ(ck.arch.seq, exec1.instructionsExecuted());
     ASSERT_TRUE(ck.hasSvr);
 
     // Segment 2: restore into a fresh instance and finish the run.

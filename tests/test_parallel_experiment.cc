@@ -20,7 +20,9 @@
  *    jobs (so a ThreadSanitizer build covers racing publishers), for
  *    programs that halt mid-region and for degenerate sampling; the
  *    second cell of a row restores every rung and fast-forwards
- *    nothing, also on an injected-fault retry;
+ *    nothing, also on an injected-fault retry, and also from rungs
+ *    that went through the checkpoint byte format; capturing a rung
+ *    shares every page with the live memory;
  *  - golden-stats snapshots for three representative cells, pinning
  *    IPC, cache misses, DRAM transfers, and prefetch accuracy so
  *    timing-model drift is caught in CI, not in a regenerated paper
@@ -53,9 +55,11 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/executor.hh"
+#include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
+#include "sim/sampled_sim.hh"
 #include "test_helpers.hh"
 #include "workloads/suites.hh"
 
@@ -808,6 +812,56 @@ TEST(RowLadder, SecondCellOfARowRestoresEveryRung)
                   r.core.instructions - r.sampleWindows *
                                             (configs[0].sampling.warmup +
                                              configs[0].sampling.sampleWindow));
+    }
+}
+
+TEST(RowLadder, RungsSurviveTheByteFormat)
+{
+    const std::vector<SimConfig> configs =
+        sampled({presets::inorder(), presets::svrCore(16)}, 40000);
+    const WorkloadSpec spec = findWorkload("BFS_UR");
+    const std::vector<SimResult> ref = withoutLadder({spec}, configs);
+
+    // The row's first cell records a rung at every window's start.
+    const WorkloadImage image(spec.make());
+    WorkloadInstance first = image.fork();
+    first.ladder = std::make_shared<FastForwardLadder>();
+    simulate(configs[0], first);
+
+    // Each rung goes through the byte format into a fresh ladder.
+    const SamplingParams &sp = configs[0].sampling;
+    const std::uint64_t ff = sp.sampleEvery - sp.sampleWindow - sp.warmup;
+    auto loaded = std::make_shared<FastForwardLadder>();
+    for (std::uint64_t period = 0; period < configs[0].maxInstructions;
+         period += sp.sampleEvery) {
+        const std::optional<Checkpoint> rung = first.ladder->find(period + ff);
+        ASSERT_TRUE(rung) << "no rung at " << period + ff;
+        EXPECT_FALSE(rung->hasSvr);
+        loaded->publish(deserializeCheckpoint(serializeCheckpoint(*rung)));
+    }
+
+    // A cell of another config restores every loaded rung.
+    WorkloadInstance second = image.fork();
+    second.ladder = loaded;
+    SimResult got = simulate(configs[1], second);
+    got.workload = spec.name;
+    EXPECT_EQ(got.fastForwarded, 0u);
+    EXPECT_EQ(toJson(std::vector<SimResult>{got}),
+              toJson(std::vector<SimResult>{ref[1]}));
+}
+
+TEST(RowLadder, CaptureSharesEveryPage)
+{
+    const WorkloadInstance w = findWorkload("BFS_UR").make();
+    Executor exec(*w.program, *w.mem);
+    exec.run(20000);
+    const Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
+    const auto frozen = FunctionalMemory(ck.mem).snapshotPages();
+    const auto live = w.mem->snapshotPages();
+    ASSERT_EQ(frozen.size(), live.size());
+    for (std::size_t i = 0; i < live.size(); i++) {
+        EXPECT_EQ(frozen[i].pageNum, live[i].pageNum);
+        EXPECT_EQ(frozen[i].data, live[i].data) << "page " << i;
     }
 }
 

@@ -316,7 +316,8 @@ roundTrip(const SvrEngineSnapshot &snap)
 {
     Checkpoint ck;
     ck.workload = "seen";
-    ck.allocTop = FunctionalMemory::dataBase;
+    ck.mem = std::make_shared<const FunctionalMemory::Image>(
+        FunctionalMemory());
     ck.hasSvr = true;
     ck.svr = snap;
     return deserializeCheckpoint(serializeCheckpoint(ck)).svr;

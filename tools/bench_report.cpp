@@ -1,8 +1,9 @@
 /**
  * @file
  * bench_report — standalone sim-speed measurement (no google-benchmark
- * dependency). Runs every core model over the camel kernel, times the
- * hottest primitives, and writes the results as BENCH_simspeed.json so
+ * dependency). Runs every core model over the camel kernel, timing the
+ * host-speed reference kernel (host_ref.hh) around and between the
+ * runs, times the hottest primitives, and writes the results as BENCH_simspeed.json so
  * sim-speed can be tracked over time alongside the repo.
  *
  * Usage:
@@ -20,16 +21,18 @@
  *   --out       output path (default: BENCH_simspeed.json, or
  *               BENCH_sampling.json with --sampling)
  *   --regress   regression gate: re-measure the timing cores and exit
- *               nonzero if any core's Msimips fell more than the
- *               threshold (default 15%) below the committed
- *               BENCH_simspeed.json. Opt-in in CI (wall-clock
+ *               nonzero if any core's host-normalised speed (Msimips
+ *               x host-reference ms, see host_ref.hh) fell more than
+ *               the threshold (default 15%) below the committed
+ *               BENCH_simspeed.json's. Opt-in in CI (wall-clock
  *               measurements are load-sensitive):
  *               `ctest -C bench-regress`. With --out, the per-core
- *               comparison (baseline/measured/delta Msimips) is also
- *               written as machine-readable JSON for CI dashboards.
+ *               comparison (raw and normalised, baseline/measured/
+ *               delta) is also written as machine-readable JSON for
+ *               CI dashboards.
  *   --baseline  baseline JSON for --regress (default:
  *               BENCH_simspeed.json next to the current directory)
- *   --threshold allowed Msimips drop in percent for --regress
+ *   --threshold allowed normalised-speed drop in percent for --regress
  *   --chains    static-vs-dynamic chain coverage matrix: cross-validate
  *               the static dependence-chain oracle against the SVR
  *               engine's recorded chain log for every quick-suite
@@ -44,6 +47,7 @@
  * `cmake --build build --target SVR_BENCH_JSON`.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -59,6 +63,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "core/executor.hh"
+#include "host_ref.hh"
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
 #include "mem/memory_system.hh"
@@ -101,22 +106,60 @@ struct CoreSpeed
     double msimips = 0.0;  //!< simulated Minstructions per host second
 };
 
-/** Best-of-@p reps simulation of @p config over @p w. */
-CoreSpeed
-measureCore(SimConfig config, const WorkloadInstance &w, std::uint64_t window,
-            unsigned reps)
+/** Iterations of one host-reference run: 10-15 ms on an x86-64 server. */
+constexpr std::uint64_t hostRefIters = 4000000;
+
+/** Wall time of one hostRefKernel() run, in ms. */
+double
+hostRefMillis()
 {
-    config.maxInstructions = window;
-    CoreSpeed out;
-    out.label = config.label;
+    const auto t0 = Clock::now();
+    // The kernel's own target is built without LTO, so this call is
+    // opaque here and cannot be elided.
+    hostRefKernel(hostRefIters);
+    return secondsSince(t0) * 1e3;
+}
+
+/** Every timing core over one window, with the host's speed. */
+struct CoreRun
+{
+    std::vector<CoreSpeed> cores;
+    /** The fastest host-reference run around and between the cores. */
+    double hostRefMs = 0.0;
+};
+
+/**
+ * Best-of-N runs of each timing core over @p w, with the host
+ * reference timed before, between and after: Msimips x hostRefMs
+ * (thousands of simulated instructions per reference run) cancels the
+ * host's speed. The baseline and the --regress gate take the same
+ * best-of-N, which converges toward unloaded-host speed. The
+ * repetitions go round robin over the cores, so each best-of spans
+ * the whole measurement and a burst of host load cannot spoil every
+ * repetition of one core.
+ */
+CoreRun
+measureCores(const WorkloadInstance &w, std::uint64_t window, bool quick)
+{
+    const unsigned reps = quick ? 2 : 5;
+    std::vector<SimConfig> configs = {
+        presets::inorder(), presets::impCore(), presets::outOfOrder(),
+        presets::svrCore(16), presets::svrCore(64)};
+    for (SimConfig &config : configs)
+        config.maxInstructions = window;
+    CoreRun run;
+    run.hostRefMs = hostRefMillis();
+    run.cores.resize(configs.size());
     for (unsigned r = 0; r < reps; r++) {
-        const SimResult res = simulate(config, w);
-        if (out.millis == 0.0 || res.hostMillis < out.millis) {
-            out.millis = res.hostMillis;
-            out.msimips = res.hostMsimips();
+        for (std::size_t c = 0; c < configs.size(); c++) {
+            const SimResult res = simulate(configs[c], w);
+            CoreSpeed &best = run.cores[c];
+            if (best.millis == 0.0 || res.hostMillis < best.millis)
+                best = {configs[c].label, res.hostMillis, res.hostMsimips()};
         }
+        run.hostRefMs = std::min(run.hostRefMs, hostRefMillis());
     }
-    return out;
+    return run;
 }
 
 /** ns per call over @p iters invocations of @p fn (best of @p reps). */
@@ -448,23 +491,45 @@ parseBaselineCores(const std::string &text)
     return rows;
 }
 
+/** The number after the first `"key": ` in @p text, or 0 if none. */
+double
+jsonNumber(const std::string &text, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t pos = text.find(tag);
+    return pos == std::string::npos
+               ? 0.0
+               : std::strtod(text.c_str() + pos + tag.size(), nullptr);
+}
+
 /** One core's baseline-vs-fresh comparison (--regress). */
 struct RegressRow
 {
     std::string label;
-    double baseline = 0.0; //!< committed Msimips (0 = no baseline row)
-    double measured = 0.0;
-    double deltaPct = 0.0; //!< (measured - baseline) / baseline * 100
-    double floor = 0.0;    //!< baseline scaled by the threshold
+    double baseline = 0.0;     //!< committed Msimips (0 = no baseline row)
+    double measured = 0.0;     //!< fresh Msimips
+    double baselineNorm = 0.0; //!< committed Msimips x host-reference ms
+    double measuredNorm = 0.0; //!< fresh Msimips x host-reference ms
+    double deltaPct = 0.0;     //!< normalised change, in percent
+    double floor = 0.0;        //!< baselineNorm scaled by the threshold
     bool regressed = false;
 };
 
+/** 100 x (@p now - @p then) / @p then, or 0 without a baseline. */
+double
+deltaPct(double now, double then)
+{
+    return then > 0.0 ? 100.0 * (now - then) / then : 0.0;
+}
+
 /**
  * --regress mode: re-measure the timing cores and compare against the
- * committed baseline. Exit 0 if every core is within @p threshold_pct
- * of its baseline Msimips, 1 on a regression, 2 on a bad baseline.
- * With @p out_path, the comparison is also written as machine-readable
- * JSON (per-core baseline/measured/delta) for CI dashboards.
+ * committed baseline, each speed normalised by the host reference
+ * timed with it. Exit 0 if every core's Msimips x host-reference ms
+ * is within @p threshold_pct of its baseline's, 1 on a regression, 2
+ * on a bad baseline (no core rows, or no host reference). With
+ * @p out_path, the comparison is also written as machine-readable
+ * JSON (per-core raw and normalised figures) for CI dashboards.
  */
 int
 runRegressCheck(bool quick, const std::string &baseline_path,
@@ -477,29 +542,28 @@ runRegressCheck(bool quick, const std::string &baseline_path,
                      baseline_path.c_str());
         return 2;
     }
+    const double base_ref = jsonNumber(text, "host_ref_ms");
+    if (base_ref <= 0.0) {
+        std::fprintf(stderr,
+                     "bench_report: no host_ref_ms in %s: its Msimips "
+                     "cannot be normalised (regenerate it)\n",
+                     baseline_path.c_str());
+        return 2;
+    }
 
     // Measure with the same window the baseline was measured with
     // (Msimips depends on the window: shorter windows amortize less
-    // warmup), and more repetitions than a normal measurement —
-    // best-of-N converges toward unloaded-machine speed, which is
-    // what the committed baseline records.
+    // warmup).
     std::uint64_t window = 100000;
-    if (const std::size_t wpos = text.find("\"window_instructions\": ");
-        wpos != std::string::npos) {
-        window = std::strtoull(
-            text.c_str() + wpos + std::strlen("\"window_instructions\": "),
-            nullptr, 10);
-    }
-    const unsigned reps = quick ? 2 : 5;
-    const WorkloadInstance w = benchWorkload();
-    const std::vector<SimConfig> configs = {
-        presets::inorder(), presets::impCore(), presets::outOfOrder(),
-        presets::svrCore(16), presets::svrCore(64)};
+    if (const double w = jsonNumber(text, "window_instructions"); w > 0.0)
+        window = static_cast<std::uint64_t>(w);
+    const CoreRun run = measureCores(benchWorkload(), window, quick);
+    std::fprintf(stderr, "  host reference %.3f ms  baseline %.3f ms\n",
+                 run.hostRefMs, base_ref);
 
     std::vector<RegressRow> rows;
     bool failed = false;
-    for (const auto &config : configs) {
-        const CoreSpeed fresh = measureCore(config, w, window, reps);
+    for (const CoreSpeed &fresh : run.cores) {
         const CoreSpeed *base = nullptr;
         for (const CoreSpeed &b : baseline) {
             if (b.label == fresh.label)
@@ -508,6 +572,7 @@ runRegressCheck(bool quick, const std::string &baseline_path,
         RegressRow row;
         row.label = fresh.label;
         row.measured = fresh.msimips;
+        row.measuredNorm = fresh.msimips * run.hostRefMs;
         if (!base) {
             // A core model missing from the committed file is stale
             // tooling, not a perf regression; flag but keep comparing.
@@ -517,18 +582,19 @@ runRegressCheck(bool quick, const std::string &baseline_path,
             continue;
         }
         row.baseline = base->msimips;
-        row.floor = base->msimips * (1.0 - threshold_pct / 100.0);
-        row.deltaPct = base->msimips > 0.0
-                           ? 100.0 * (fresh.msimips - base->msimips) /
-                                 base->msimips
-                           : 0.0;
-        row.regressed = fresh.msimips < row.floor;
+        row.baselineNorm = base->msimips * base_ref;
+        row.floor = row.baselineNorm * (1.0 - threshold_pct / 100.0);
+        row.deltaPct = deltaPct(row.measuredNorm, row.baselineNorm);
+        row.regressed = row.measuredNorm < row.floor;
         failed = failed || row.regressed;
         std::fprintf(stderr,
-                     "  %-8s %8.2f Msimips  baseline %8.2f  "
-                     "floor %8.2f  %s\n",
+                     "  %-8s %8.2f Msimips  baseline %8.2f (%+6.1f%%)  "
+                     "normalised %8.2f  baseline %8.2f  floor %8.2f "
+                     "(%+6.1f%%)  %s\n",
                      row.label.c_str(), row.measured, row.baseline,
-                     row.floor, row.regressed ? "REGRESSED" : "ok");
+                     deltaPct(row.measured, row.baseline), row.measuredNorm,
+                     row.baselineNorm, row.floor, row.deltaPct,
+                     row.regressed ? "REGRESSED" : "ok");
         rows.push_back(std::move(row));
     }
     std::fprintf(stderr, "bench_report: regression check %s "
@@ -539,11 +605,13 @@ runRegressCheck(bool quick, const std::string &baseline_path,
     if (!out_path.empty()) {
         std::string json;
         appendf(json, "{\n");
-        appendf(json, "  \"schema\": \"svrsim-bench-regress-v1\",\n");
+        appendf(json, "  \"schema\": \"svrsim-bench-regress-v2\",\n");
         appendf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
         appendf(json, "  \"threshold_pct\": %.1f,\n", threshold_pct);
         appendf(json, "  \"window_instructions\": %llu,\n",
                 static_cast<unsigned long long>(window));
+        appendf(json, "  \"baseline_host_ref_ms\": %.3f,\n", base_ref);
+        appendf(json, "  \"measured_host_ref_ms\": %.3f,\n", run.hostRefMs);
         appendf(json, "  \"status\": \"%s\",\n",
                 failed ? "regressed" : "ok");
         appendf(json, "  \"cores\": [\n");
@@ -551,10 +619,11 @@ runRegressCheck(bool quick, const std::string &baseline_path,
             const RegressRow &r = rows[i];
             appendf(json,
                     "    {\"label\": \"%s\", \"baseline_msimips\": %.3f, "
-                    "\"measured_msimips\": %.3f, \"delta_pct\": %.2f, "
-                    "\"floor_msimips\": %.3f, \"status\": \"%s\"}%s\n",
-                    r.label.c_str(), r.baseline, r.measured, r.deltaPct,
-                    r.floor,
+                    "\"measured_msimips\": %.3f, \"baseline_norm\": %.3f, "
+                    "\"measured_norm\": %.3f, \"delta_pct\": %.2f, "
+                    "\"floor_norm\": %.3f, \"status\": \"%s\"}%s\n",
+                    r.label.c_str(), r.baseline, r.measured, r.baselineNorm,
+                    r.measuredNorm, r.deltaPct, r.floor,
                     r.baseline == 0.0 ? "no-baseline"
                     : r.regressed     ? "regressed"
                                       : "ok",
@@ -742,17 +811,13 @@ try {
 
     const WorkloadInstance w = benchWorkload();
 
-    std::vector<SimConfig> configs = {presets::inorder(), presets::impCore(),
-                                      presets::outOfOrder(),
-                                      presets::svrCore(16),
-                                      presets::svrCore(64)};
-    std::vector<CoreSpeed> cores;
-    for (const auto &config : configs) {
-        cores.push_back(measureCore(config, w, window, reps));
+    const CoreRun run = measureCores(w, window, quick);
+    const std::vector<CoreSpeed> &cores = run.cores;
+    for (const CoreSpeed &core : cores) {
         std::fprintf(stderr, "  %-8s %8.2f ms  %8.2f Msimips\n",
-                     cores.back().label.c_str(), cores.back().millis,
-                     cores.back().msimips);
+                     core.label.c_str(), core.millis, core.msimips);
     }
+    std::fprintf(stderr, "  host reference %.3f ms\n", run.hostRefMs);
 
     const double step_ns = functionalStepNs(w, reps, prim_iters);
     const double read_ns = functionalReadNs(reps, prim_iters);
@@ -773,11 +838,12 @@ try {
 
     std::string json;
     appendf(json, "{\n");
-    appendf(json, "  \"schema\": \"svrsim-bench-simspeed-v1\",\n");
+    appendf(json, "  \"schema\": \"svrsim-bench-simspeed-v2\",\n");
     appendf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
     appendf(json, "  \"workload\": \"camel\",\n");
     appendf(json, "  \"window_instructions\": %llu,\n",
             static_cast<unsigned long long>(window));
+    appendf(json, "  \"host_ref_ms\": %.3f,\n", run.hostRefMs);
     appendf(json, "  \"cores\": [\n");
     for (std::size_t i = 0; i < cores.size(); i++) {
         appendf(json,
