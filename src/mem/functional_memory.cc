@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace svr
@@ -33,6 +34,18 @@ FunctionalMemory::Image::Image(FunctionalMemory &&built)
 {
     built.table = PageTable{};
     built.flushCaches();
+}
+
+void
+FunctionalMemory::thaw(std::shared_ptr<Image> &&image)
+{
+    if (image.use_count() != 1) {
+        throw SimError(ErrCode::InternalInvariant,
+                       "FunctionalMemory::thaw: a fork of the image is alive");
+    }
+    table = std::move(image->table);
+    image.reset();
+    flushCaches();
 }
 
 void

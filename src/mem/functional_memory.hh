@@ -19,7 +19,9 @@
  * forks on any threads share: a fork starts with every page a
  * read-only reference to an image page and copies a page (4 KiB) into
  * storage it owns on the first write to it. The image has no caches
- * and nothing writes to it; the forks themselves stay private.
+ * and nothing writes to it; the forks themselves stay private. Once
+ * the last fork is gone, thaw() moves the image's pages back into a
+ * memory that writes them in place again.
  *
  * The translation caches make read() logically-const-but-caching; an
  * instance must not be shared between concurrently simulating cells
@@ -59,6 +61,14 @@ class FunctionalMemory
      * cursor and page count, with no page copied until it is written.
      */
     explicit FunctionalMemory(std::shared_ptr<const Image> image);
+
+    /**
+     * Replace this memory's contents with the pages of @p image (the
+     * inverse of freezing them: no page is copied) and null @p image.
+     * Throws SimError(InternalInvariant), changing nothing, while
+     * anything else (a fork) still holds @p image.
+     */
+    void thaw(std::shared_ptr<Image> &&image);
 
     /** Read @p bytes (1/2/4/8) at @p addr, zero-extended. */
     std::uint64_t

@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hh"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/error.hh"
 #include "common/io.hh"
@@ -20,37 +21,15 @@ class ByteWriter
   public:
     explicit ByteWriter(std::string &sink) : out(sink) {}
 
+    /** @p v (an integer or bool) as its sizeof(T) bytes. */
+    template <typename T>
     void
-    u8(std::uint8_t v)
+    put(T v)
     {
-        out.push_back(static_cast<char>(v));
-    }
-
-    void
-    u16(std::uint16_t v)
-    {
-        for (unsigned i = 0; i < 2; i++)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (unsigned i = 0; i < 4; i++)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (unsigned i = 0; i < 8; i++)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    i64(std::int64_t v)
-    {
-        u64(static_cast<std::uint64_t>(v));
+        for (unsigned i = 0; i < sizeof(T); i++) {
+            out.push_back(static_cast<char>(
+                static_cast<std::uint64_t>(v) >> (8 * i)));
+        }
     }
 
     void
@@ -62,7 +41,7 @@ class ByteWriter
     void
     str(const std::string &s)
     {
-        u32(static_cast<std::uint32_t>(s.size()));
+        put(static_cast<std::uint32_t>(s.size()));
         bytes(s.data(), s.size());
     }
 
@@ -83,54 +62,27 @@ class ByteReader
   public:
     explicit ByteReader(std::string_view bytes) : in(bytes) {}
 
-    std::uint8_t
-    u8()
+    /** The next sizeof(T) bytes into @p v; a bool must be 0 or 1. */
+    template <typename T>
+    void
+    get(T &v)
     {
-        if (pos >= in.size())
-            corrupt("truncated");
-        return static_cast<std::uint8_t>(in[pos++]);
-    }
-
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t v = 0;
-        for (unsigned i = 0; i < 2; i++)
-            v |= static_cast<std::uint16_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t v = 0;
-        for (unsigned i = 0; i < 4; i++)
-            v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < 8; i++)
-            v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::int64_t
-    i64()
-    {
-        return static_cast<std::int64_t>(u64());
-    }
-
-    bool
-    flag()
-    {
-        const std::uint8_t v = u8();
-        if (v > 1)
+        std::uint64_t x = 0;
+        for (unsigned i = 0; i < sizeof(T); i++)
+            x |= std::uint64_t{static_cast<std::uint8_t>(*view(1))}
+                 << (8 * i);
+        if (std::is_same_v<T, bool> && x > 1)
             corrupt("bad boolean field");
-        return v != 0;
+        v = static_cast<T>(x);
+    }
+
+    template <typename T>
+    T
+    get()
+    {
+        T v;
+        get(v);
+        return v;
     }
 
     /** The next @p n bytes, in place. */
@@ -147,7 +99,7 @@ class ByteReader
     std::string
     str()
     {
-        const std::uint32_t n = u32();
+        const auto n = get<std::uint32_t>();
         return std::string(view(n), n);
     }
 
@@ -161,38 +113,38 @@ class ByteReader
 void
 putStrideEntry(ByteWriter &w, const StrideEntry &e)
 {
-    w.u64(e.pc);
-    w.u8(e.valid);
-    w.u64(e.prevAddress);
-    w.i64(e.stride);
-    w.u32(e.satCounter);
-    w.u64(e.lastPrefetch);
-    w.u8(e.hasLastPrefetch);
-    w.u8(e.seen);
-    w.u16(e.lil);
-    w.u32(e.lilConfidence);
-    w.u8(e.hasLil);
-    w.u32(e.uselessRounds);
-    w.u64(e.lastUse);
+    w.put(e.pc);
+    w.put(e.valid);
+    w.put(e.prevAddress);
+    w.put(e.stride);
+    w.put(e.satCounter);
+    w.put(e.lastPrefetch);
+    w.put(e.hasLastPrefetch);
+    w.put(e.seen);
+    w.put(e.lil);
+    w.put(e.lilConfidence);
+    w.put(e.hasLil);
+    w.put(e.uselessRounds);
+    w.put(e.lastUse);
 }
 
 StrideEntry
 getStrideEntry(ByteReader &r)
 {
     StrideEntry e;
-    e.pc = r.u64();
-    e.valid = r.flag();
-    e.prevAddress = r.u64();
-    e.stride = r.i64();
-    e.satCounter = r.u32();
-    e.lastPrefetch = r.u64();
-    e.hasLastPrefetch = r.flag();
-    e.seen = r.flag();
-    e.lil = r.u16();
-    e.lilConfidence = r.u32();
-    e.hasLil = r.flag();
-    e.uselessRounds = r.u32();
-    e.lastUse = r.u64();
+    r.get(e.pc);
+    r.get(e.valid);
+    r.get(e.prevAddress);
+    r.get(e.stride);
+    r.get(e.satCounter);
+    r.get(e.lastPrefetch);
+    r.get(e.hasLastPrefetch);
+    r.get(e.seen);
+    r.get(e.lil);
+    r.get(e.lilConfidence);
+    r.get(e.hasLil);
+    r.get(e.uselessRounds);
+    r.get(e.lastUse);
     return e;
 }
 
@@ -235,28 +187,28 @@ serializeCheckpoint(const Checkpoint &ck)
     ByteWriter w(out);
     w.bytes(magic, sizeof(magic));
     w.str(ck.workload);
-    w.u64(ck.arch.seq); // the instruction count
+    w.put(ck.arch.seq); // the instruction count
     for (RegVal reg : ck.arch.regs)
-        w.u64(reg);
-    w.u8(ck.arch.flags.eq);
-    w.u8(ck.arch.flags.lt);
-    w.u8(ck.arch.flags.ltu);
-    w.u64(ck.arch.pcIndex);
-    w.u8(ck.arch.halted);
-    w.u64(ck.arch.seq);
-    w.u64(mem.allocTop());
-    w.u64(pages.size());
+        w.put(reg);
+    w.put(ck.arch.flags.eq);
+    w.put(ck.arch.flags.lt);
+    w.put(ck.arch.flags.ltu);
+    w.put(ck.arch.pcIndex);
+    w.put(ck.arch.halted);
+    w.put(ck.arch.seq);
+    w.put(mem.allocTop());
+    w.put<std::uint64_t>(pages.size());
     for (const FunctionalMemory::PageRef &page : pages) {
-        w.u64(page.pageNum);
+        w.put(page.pageNum);
         w.bytes(page.data, pageBytes);
     }
-    w.u8(ck.hasSvr);
+    w.put(ck.hasSvr);
     if (ck.hasSvr) {
-        w.u32(static_cast<std::uint32_t>(ck.svr.strideEntries.size()));
+        w.put(static_cast<std::uint32_t>(ck.svr.strideEntries.size()));
         for (const StrideEntry &e : ck.svr.strideEntries)
             putStrideEntry(w, e);
-        w.u64(ck.svr.strideClock);
-        w.u8(ck.svr.governorBanned);
+        w.put(ck.svr.strideClock);
+        w.put(ck.svr.governorBanned);
     }
     return out;
 }
@@ -270,24 +222,24 @@ deserializeCheckpoint(std::string_view bytes)
 
     Checkpoint ck;
     ck.workload = r.str();
-    const std::uint64_t instructions = r.u64();
+    const auto instructions = r.get<std::uint64_t>();
     for (RegVal &reg : ck.arch.regs)
-        reg = r.u64();
-    ck.arch.flags.eq = r.flag();
-    ck.arch.flags.lt = r.flag();
-    ck.arch.flags.ltu = r.flag();
-    ck.arch.pcIndex = r.u64();
-    ck.arch.halted = r.flag();
-    ck.arch.seq = r.u64();
+        r.get(reg);
+    r.get(ck.arch.flags.eq);
+    r.get(ck.arch.flags.lt);
+    r.get(ck.arch.flags.ltu);
+    r.get(ck.arch.pcIndex);
+    r.get(ck.arch.halted);
+    r.get(ck.arch.seq);
     if (instructions != ck.arch.seq)
         corrupt("instruction count disagrees with the sequence number");
-    const Addr alloc_top = r.u64();
+    const auto alloc_top = r.get<Addr>();
     // No memory can hold a cursor below the data segment; reject it
     // here as corruption.
     if (alloc_top < FunctionalMemory::dataBase)
         corrupt("allocation cursor below the data base");
 
-    const std::uint64_t num_pages = r.u64();
+    const auto num_pages = r.get<std::uint64_t>();
     // Each page needs pageBytes + 8 bytes of input: a count that can't
     // possibly fit is corruption, not a huge allocation request.
     if (num_pages > bytes.size() / pageBytes + 1)
@@ -295,7 +247,7 @@ deserializeCheckpoint(std::string_view bytes)
     FunctionalMemory mem;
     Addr prev_page = 0;
     for (std::uint64_t i = 0; i < num_pages; i++) {
-        const Addr page_num = r.u64();
+        const auto page_num = r.get<Addr>();
         // A larger number has no 64-bit address: installing it would
         // wrap onto a low page.
         if (page_num >= FunctionalMemory::pageNumLimit)
@@ -309,16 +261,16 @@ deserializeCheckpoint(std::string_view bytes)
     mem.setAllocTop(alloc_top);
     ck.mem = std::make_shared<const FunctionalMemory::Image>(std::move(mem));
 
-    ck.hasSvr = r.flag();
+    r.get(ck.hasSvr);
     if (ck.hasSvr) {
-        const std::uint32_t entries = r.u32();
+        const auto entries = r.get<std::uint32_t>();
         if (entries > bytes.size())
             corrupt("stride-entry count exceeds payload");
         ck.svr.strideEntries.resize(entries);
         for (StrideEntry &e : ck.svr.strideEntries)
             e = getStrideEntry(r);
-        ck.svr.strideClock = r.u64();
-        ck.svr.governorBanned = r.flag();
+        r.get(ck.svr.strideClock);
+        r.get(ck.svr.governorBanned);
     }
     if (!r.done())
         corrupt("trailing bytes after checkpoint payload");

@@ -6,11 +6,10 @@
  * number), the frozen copy-on-write functional-memory image (every
  * materialized page plus the bump-allocator cursor), and optionally
  * the SVR engine's persistent predictor state (stride-detector SRAM +
- * governor ban). It is also the rung of the sampled fast-forward
- * ladder (sim/sampled_sim.hh). Capture freezes the live memory into
- * the image and re-forks it; restore forks the image. Checkpoints
- * serialize to a versioned little-endian byte format;
- * deserialization validates the magic, version, and exact length,
+ * governor ban). Capture freezes the live memory into the image and
+ * re-forks it; restore forks the image. Checkpoints serialize to a
+ * versioned little-endian byte format; deserialization validates the
+ * magic, version, and exact length,
  * throwing SimError(IoError) on any corruption, so a truncated or
  * bit-flipped artifact can never silently restore into a wrong
  * machine state.

@@ -50,6 +50,7 @@ struct SamplingParams
     std::uint64_t warmup = 0;       //!< detailed-warmup instructions
 
     bool enabled() const { return sampleEvery != 0; }
+    bool operator==(const SamplingParams &) const = default;
 };
 
 /** A complete machine configuration. */

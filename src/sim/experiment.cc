@@ -1,8 +1,8 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <numeric>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -19,8 +19,25 @@ CellRows::CellRows(const std::vector<WorkloadSpec> &w,
                    const std::vector<std::size_t> &cells)
     : workloads(w), configs(c), opts(o), rows(w.size())
 {
-    for (const std::size_t idx : cells)
-        rows[idx / configs.size()].cellsLeft++;
+    for (const std::size_t idx : cells) {
+        // A sampled cell joins the unit of its row that samples the
+        // same region, if there is one.
+        const SimConfig &config = configs[idx % configs.size()];
+        const auto joins = [&](const std::vector<std::size_t> &unit) {
+            const SimConfig &first = configs[unit[0] % configs.size()];
+            return unit[0] / configs.size() == idx / configs.size() &&
+                   first.sampling.enabled() &&
+                   first.sampling == config.sampling &&
+                   first.maxInstructions == config.maxInstructions;
+        };
+        const auto unit = std::find_if(units.begin(), units.end(), joins);
+        if (unit != units.end()) {
+            unit->push_back(idx);
+        } else {
+            units.push_back({idx});
+            rows[idx / configs.size()].unitsLeft++;
+        }
+    }
 }
 
 WorkloadInstance
@@ -28,63 +45,101 @@ CellRows::fork(std::size_t wi)
 {
     Row &row = rows[wi];
     std::lock_guard<std::mutex> lock(row.mtx);
-    if (!row.image) {
+    if (!row.image)
         row.image.emplace(workloads[wi].make());
-        row.ladder = std::make_shared<FastForwardLadder>();
-    }
-    WorkloadInstance w = row.image->fork();
-    w.ladder = row.ladder;
-    return w;
+    return row.image->fork();
 }
 
 bool
-CellRows::finish(std::size_t idx)
+CellRows::run(std::size_t u, const CellSink &sink)
 {
-    Row &row = rows[idx / configs.size()];
+    using Clock = std::chrono::steady_clock;
+    const std::vector<std::size_t> &cells = units[u];
+    auto t_start = Clock::now();
+    std::vector<SimResult> res;
+    if (cells.size() > 1) {
+        try {
+            res = attempt(cells, 1);
+        } catch (const SimError &) {
+            // Each cell runs again on its own, with its own attempts.
+        }
+    }
+    // A joint run charges the build and fast-forward to its first cell.
+    double others = 0.0;
+    for (std::size_t k = 1; k < res.size(); k++)
+        others += res[k].hostMillis;
+    for (std::size_t k = 0; k < cells.size(); k++) {
+        SimResult r = res.empty() ? runCell(cells[k]) : std::move(res[k]);
+        const std::chrono::duration<double, std::milli> elapsed =
+            Clock::now() - t_start;
+        const double ms = k > 0 && !res.empty() ? r.hostMillis
+                                                : elapsed.count() - others;
+        sink(cells[k], std::move(r), ms);
+        t_start = Clock::now();
+    }
+
+    Row &row = rows[rowOf(u)];
     std::lock_guard<std::mutex> lock(row.mtx);
-    if (--row.cellsLeft > 0)
+    if (--row.unitsLeft > 0)
         return false;
     row.image.reset();
-    row.ladder.reset();
     return true;
 }
 
+std::vector<SimResult>
+CellRows::attempt(const std::vector<std::size_t> &cells, unsigned n)
+{
+    const WorkloadSpec &spec = workloads[cells[0] / configs.size()];
+    WorkloadInstance w;
+    {
+        ScopedErrorCapture scope(ErrCode::WorkloadBuild);
+        w = fork(cells[0] / configs.size());
+    }
+    ScopedErrorCapture scope(ErrCode::ConfigInvalid);
+    std::vector<const SimConfig *> group;
+    bool hang = false;
+    for (const std::size_t idx : cells) {
+        group.push_back(&configs[idx % configs.size()]);
+        const std::string &label = group.back()->label;
+        // A joint run cannot hang one config: it fails as a whole, so
+        // that the hang is injected when its cell runs on its own.
+        hang = opts.faultPlan.shouldHang(spec.name, label);
+        if ((hang && cells.size() > 1) ||
+            opts.faultPlan.shouldThrow(spec.name, label, n,
+                                       opts.baseSeed)) {
+            throw simErrorf(ErrCode::InternalInvariant, {},
+                            "injected fault (attempt %u)", n);
+        }
+    }
+    std::vector<SimResult> res =
+        cells.size() > 1 ? simulateSampledRow(group, w)
+                         : std::vector{hang ? simulateInjectedHang(*group[0], w)
+                                            : simulate(*group[0], w)};
+    for (SimResult &r : res) {
+        // The cell identity is the spec name, not whatever the
+        // workload instance called itself.
+        r.workload = spec.name;
+        r.attempts = n;
+    }
+    return res;
+}
+
 SimResult
-CellRows::run(std::size_t idx)
+CellRows::runCell(std::size_t idx)
 {
     const WorkloadSpec &spec = workloads[idx / configs.size()];
     const SimConfig &config = configs[idx % configs.size()];
-    for (unsigned attempt = 1;; attempt++) {
+    for (unsigned n = 1;; n++) {
         try {
-            WorkloadInstance w;
-            {
-                ScopedErrorCapture scope(ErrCode::WorkloadBuild);
-                w = fork(idx / configs.size());
-            }
-            ScopedErrorCapture scope(ErrCode::ConfigInvalid);
-            if (opts.faultPlan.shouldThrow(spec.name, config.label,
-                                           attempt, opts.baseSeed)) {
-                throw simErrorf(ErrCode::InternalInvariant, {},
-                                "injected fault (attempt %u)", attempt);
-            }
-            SimResult res =
-                opts.faultPlan.shouldHang(spec.name, config.label)
-                    ? simulateInjectedHang(config, w)
-                    : simulate(config, w);
-            // The cell identity is the spec name, not whatever the
-            // workload instance called itself.
-            res.workload = spec.name;
-            res.config = config.label;
-            res.attempts = attempt;
-            return res;
+            return attempt({idx}, n)[0];
         } catch (const SimError &e) {
-            if (attempt < opts.maxAttempts)
+            if (n < opts.maxAttempts)
                 continue;
             const SimError err =
                 SimError::withCell(e, spec.name, config.label);
             if (!opts.keepGoing)
                 throw err;
-            return failureRecord(spec.name, config.label, err, attempt);
+            return failureRecord(spec.name, config.label, err, n);
         }
     }
 }
@@ -99,24 +154,23 @@ runMatrix(const std::vector<WorkloadSpec> &workloads,
     CellLedger ledger(workloads, configs, opts.restored, opts.journal,
                       opts.faultPlan, opts.baseSeed,
                       CellLedger::Engine::Local);
-    std::vector<std::size_t> all(ledger.numCells());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    CellRows rows(workloads, configs, opts, all);
+    std::vector<std::size_t> open;
+    for (std::size_t idx = 0; idx < ledger.numCells(); idx++) {
+        if (!ledger.done(idx))
+            open.push_back(idx);
+    }
+    CellRows rows(workloads, configs, opts, open);
 
     const unsigned jobs = resolveJobs(opts.jobs);
     const auto t_start = Clock::now();
-    parallelFor(ledger.numCells(), jobs, [&](std::size_t idx) {
-        if (!ledger.done(idx)) {
-            const auto c_start = Clock::now();
-            SimResult res = rows.run(idx);
-            const std::chrono::duration<double, std::milli> c_elapsed =
-                Clock::now() - c_start;
-            ledger.record(idx, std::move(res), c_elapsed.count());
-        }
-        if (rows.finish(idx) && opts.progress) {
+    parallelFor(rows.numUnits(), jobs, [&](std::size_t u) {
+        const bool row_done =
+            rows.run(u, [&](std::size_t idx, SimResult res, double ms) {
+                ledger.record(idx, std::move(res), ms);
+            });
+        if (row_done && opts.progress) {
             inform("done: %-12s (%zu configs)",
-                   workloads[idx / configs.size()].name.c_str(),
-                   configs.size());
+                   workloads[rows.rowOf(u)].name.c_str(), configs.size());
         }
     });
     const std::chrono::duration<double> elapsed = Clock::now() - t_start;

@@ -6,8 +6,8 @@
  *
  * Determinism contract: runMatrix() output (results, their order, and
  * every per-cell metric) is bit-identical for any job count. Each
- * cell is an independent simulation of its own fork of the row's
- * workload build (CellRows) with its own seed-derived RNG stream
+ * cell computes what an independent simulation of a fork of the row's
+ * workload build gives (CellRows), with its own seed-derived RNG stream
  * (Rng::cellSeed(base, workload, config)), and results are
  * recorded into preallocated slots keyed by (workload, config) index
  * (the cell ledger, sim/ledger.hh), so scheduling never reorders or
@@ -19,6 +19,7 @@
 #define SVR_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -124,64 +125,77 @@ struct MatrixTiming
 /**
  * The engine's per-cell path over one set of cells: a runMatrix()
  * call, or one fabric lease (sim/fabric.hh), so a cell computes the
- * same bytes no matter which process runs it. Each workload is built
- * (WorkloadSpec::make) once, when the first of its cells runs, and
- * every cell of its row simulates a private copy-on-write fork of that
- * build (WorkloadImage). Only successful builds are kept: a failing
- * factory is called again on every attempt of every cell. Each row
- * also fast-forwards once: its forks share one FastForwardLadder
- * (sim/sampled_sim.hh), so a sampled cell restores the window starts
- * a sibling has already reached instead of executing up to them again.
- * A row's build and ladder are dropped when its last cell finishes.
- * Safe to use from concurrent cells.
+ * same bytes no matter which process runs it. The cells are scheduled
+ * as units. A row's sampled cells whose maxInstructions and
+ * SamplingParams agree form one unit, which runs window-major
+ * (simulateSampledRow(), sim/sampled_sim.hh): one fast-forward and one
+ * live machine for all its configs. Every other cell is a unit of its
+ * own. Each workload is built (WorkloadSpec::make) once, when the
+ * first of its units runs, and every unit simulates a private
+ * copy-on-write fork of that build (WorkloadImage). Only successful
+ * builds are kept: a failing factory is called again on every attempt,
+ * a unit's joint one and each of its cells'. A row's build is dropped
+ * when its last unit finishes.
+ * Safe to use from concurrent units.
  */
 class CellRows
 {
   public:
-    /**
-     * Rows of @p workloads x @p configs (cells workload-major) for
-     * the cells in @p cells, each of which must be finished once.
-     */
+    /** Receives a finished cell: its index, result and host time [ms]. */
+    using CellSink =
+        std::function<void(std::size_t idx, SimResult res, double millis)>;
+
+    /** Units of the @p cells of @p workloads x @p configs to run. */
     CellRows(const std::vector<WorkloadSpec> &workloads,
              const std::vector<SimConfig> &configs,
              const MatrixOptions &opts,
              const std::vector<std::size_t> &cells);
 
-    /**
-     * Run cell @p idx with the engine's fault isolation: legacy
-     * panic()/fatal() sites captured as SimErrors, injected faults
-     * applied, up to opts.maxAttempts tries. On final failure either
-     * rethrows (fail-fast) or returns a deterministic failure record
-     * (opts.keepGoing). The result carries the cell identity
-     * (spec.name, config.label).
-     */
-    SimResult run(std::size_t idx);
+    std::size_t numUnits() const { return units.size(); }
+
+    /** The workload (row) index of unit @p u. */
+    std::size_t rowOf(std::size_t u) const
+    {
+        return units[u][0] / configs.size();
+    }
 
     /**
-     * Count cell @p idx (run or restored) as finished; true if it was
-     * the last of its row, whose build is then dropped.
+     * Run unit @p u, handing each of its cells to @p sink in the order
+     * given. Fault isolation stays per cell: panic()/fatal() sites are
+     * captured as SimErrors, and if a joint run throws (an injected
+     * fault included), each cell runs on its own with up to
+     * opts.maxAttempts tries, its final failure rethrown (fail-fast)
+     * or recorded (opts.keepGoing). Results carry the cell identity
+     * (spec.name, config.label). A joint run charges the build and
+     * fast-forward to its first cell and each config's warmups and
+     * windows to its own. True if this was the row's last unit, whose
+     * build is then dropped.
      */
-    bool finish(std::size_t idx);
+    bool run(std::size_t u, const CellSink &sink);
 
   private:
-    /**
-     * A fork of row @p wi's build, building it first if needed, that
-     * carries the row's ladder.
-     */
+    /** Cell @p idx on its own, with the attempts described at run(). */
+    SimResult runCell(std::size_t idx);
+
+    /** Attempt @p n at @p cells (one row) jointly, faults injected. */
+    std::vector<SimResult> attempt(const std::vector<std::size_t> &cells,
+                                   unsigned n);
+
+    /** A fork of row @p wi's build, building it first if needed. */
     WorkloadInstance fork(std::size_t wi);
 
     struct Row
     {
         std::mutex mtx;
         std::optional<WorkloadImage> image;
-        std::shared_ptr<FastForwardLadder> ladder;
-        std::size_t cellsLeft = 0;
+        std::size_t unitsLeft = 0;
     };
 
     const std::vector<WorkloadSpec> &workloads;
     const std::vector<SimConfig> &configs;
     const MatrixOptions &opts;
     std::vector<Row> rows;
+    std::vector<std::vector<std::size_t>> units; //!< their cells
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "sim/fabric.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -667,19 +668,20 @@ runFabricSweep(const std::vector<WorkloadSpec> &workloads,
                       spec.key.seed, CellLedger::Engine::Fabric);
 
     // Auto lease size: a few leases per worker wave so reassignment
-    // after a death stays cheap, floor 1, cap 64.
+    // after a death stays cheap, floor 1, cap 64, rounded down to
+    // whole rows (at least one) so that a sampled row fast-forwards
+    // once.
     unsigned chunk = fopts.chunk;
     if (chunk == 0) {
         const unsigned workers_hint =
             fopts.spawnWorkers > 0 ? fopts.spawnWorkers : 4;
         const std::size_t open_cells =
             num_cells - ledger.doneIndices().size();
+        const std::size_t cells = std::clamp<std::size_t>(
+            open_cells / (std::size_t{workers_hint} * 4), 1, 64);
         chunk = static_cast<unsigned>(
-            open_cells / (static_cast<std::size_t>(workers_hint) * 4));
-        if (chunk < 1)
-            chunk = 1;
-        if (chunk > 64)
-            chunk = 64;
+            std::max<std::size_t>(cells / configs.size(), 1) *
+            configs.size());
     }
 
     Coord C(fopts, spec, ledger, chunk);
@@ -1109,20 +1111,14 @@ runFabricWorker(const WorkerOptions &opts)
 
             // Simulate the lease's cells — in parallel when jobs > 1 —
             // on the engine's per-cell path: each row of the lease is
-            // built once. parallelFor() rethrows the first error, so a
-            // fail-fast SimError surfaces here exactly like it
-            // surfaces from runMatrix().
+            // built once, and its sampled cells run as one unit.
+            // parallelFor() rethrows the first error, so a fail-fast
+            // SimError surfaces here exactly like it surfaces from
+            // runMatrix().
             CellRows rows(workloads, configs, mopts, cells);
             std::atomic<bool> lease_stale{false};
-            parallelFor(cells.size(), opts.jobs, [&](std::size_t k) {
-                const std::size_t idx = cells[k];
-                if (dead.load(std::memory_order_relaxed) ||
-                    stop.load(std::memory_order_relaxed) ||
-                    lease_stale.load(std::memory_order_relaxed)) {
-                    return;
-                }
-                const SimResult res = rows.run(idx);
-                rows.finish(idx);
+            auto report = [&](std::size_t idx, const SimResult &res,
+                              double) {
                 if (lease_stale.load(std::memory_order_relaxed))
                     return;
                 std::string rep;
@@ -1149,6 +1145,12 @@ runFabricWorker(const WorkerOptions &opts)
                          res.workload.c_str(), res.config.c_str());
                     std::raise(SIGKILL);
                 }
+            };
+            parallelFor(rows.numUnits(), opts.jobs, [&](std::size_t u) {
+                if (!dead.load(std::memory_order_relaxed) &&
+                    !stop.load(std::memory_order_relaxed) &&
+                    !lease_stale.load(std::memory_order_relaxed))
+                    rows.run(u, report);
             });
 
             if (dead.load(std::memory_order_relaxed) ||

@@ -21,36 +21,31 @@
  * ordinary full-detail run and every counter matches simulate() with
  * sampling off bit for bit (asserted by tests/test_sampled_sim.cc).
  *
- * Fast-forward once per sweep row. The architectural state at a
- * detailed window's start does not depend on the config: every core is
+ * Window-major sampled rows. The architectural state at a detailed
+ * window's start does not depend on the config: every core is
  * execute-driven (one Executor::step() per committed instruction,
  * stopping at exactly its window's instruction count), the timing
  * models, SVR and IMP only read functional memory, and every cell of a
- * row starts from the same build. So the registers and memory at
- * absolute instruction count S are the same for every cell that
- * reaches S, however it got there. A row's FastForwardLadder keeps
- * them: one rung per window start S, each a Checkpoint
- * (sim/checkpoint.hh) without SVR state. The first cell to
- * fast-forward to S captures the rung (its memory is frozen into the
- * checkpoint's image and goes on as a fork of it) and publishes it.
- * Every later cell that is about to fast-forward to S restores the
- * rung in place instead (its executor imports the state, its memory
- * becomes a fork of the image). A missing rung (a program that halts
- * first, a sibling cell still fast-forwarding, a row split across
- * fabric leases) means a plain fast-forward, so results never depend
- * on which cell records.
+ * row starts from the same build. So a group of configs that agree on
+ * maxInstructions and SamplingParams (a sweep row's sampled cells)
+ * runs as one loop over one master machine, window by window. At each
+ * window start the master's memory is frozen into an image; each
+ * config in turn runs its warmup and window on a copy-on-write fork of
+ * it, with its own carried SVR predictor state, and the fork is
+ * dropped; the image is then thawed back into the master (no page is
+ * copied), which executes the window's instructions functionally and
+ * fast-forwards on to the next window start. The row thus holds one
+ * memory, plus one fork's written pages at a time, whatever the region
+ * length, and no image ever chains to another. A single config is the
+ * one-config case of the same loop.
  */
 
 #ifndef SVR_SIM_SAMPLED_SIM_HH
 #define SVR_SIM_SAMPLED_SIM_HH
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <vector>
 
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 
 namespace svr
@@ -68,32 +63,6 @@ struct SampleWindow
 };
 
 /**
- * The window starts one sweep row's cells have fast-forwarded to, each
- * a Checkpoint of the machine there, keyed by its instruction count
- * (arch.seq; see the file comment). Rungs are immutable once
- * published, and publishing never waits for a reader: any thread may
- * use a ladder. A rung costs the pages the fast-forward before it
- * wrote (each image shares every older page with the rung below it)
- * plus one page directory per 2 MiB region of the footprint.
- */
-class FastForwardLadder
-{
-  public:
-    /** The rung at instruction count @p seq, if one was published. */
-    std::optional<Checkpoint> find(SeqNum seq) const;
-
-    /**
-     * Publish @p rung at its instruction count. A rung already there is
-     * kept: every publisher at one count holds the same state.
-     */
-    void publish(Checkpoint rung);
-
-  private:
-    mutable std::mutex mtx;
-    std::map<SeqNum, Checkpoint> rungs;
-};
-
-/**
  * Run @p config on @p w with sampling (config.sampling must be
  * enabled; simulate() dispatches here automatically). The returned
  * SimResult carries whole-region estimates: instructions is exact,
@@ -102,13 +71,26 @@ class FastForwardLadder
  * estimate. A commit hook in @p hooks is rejected with
  * SimError(ConfigInvalid): lockstep validation needs every commit,
  * which sampling by construction skips. @p windows_out, when non-null,
- * receives the per-window measurements. With a ladder in @p w
- * (w.ladder, set by the sweep engine's CellRows), each fast-forward
- * restores or records a rung of it; the result is the same either way.
+ * receives the per-window measurements. The one-config case of
+ * simulateSampledRow().
  */
 SimResult simulateSampled(const SimConfig &config, const WorkloadInstance &w,
                           const SimHooks &hooks = {},
                           std::vector<SampleWindow> *windows_out = nullptr);
+
+/**
+ * Run every config of @p configs on @p w, window-major (see the file
+ * comment). They must all be sampled with the same maxInstructions and
+ * SamplingParams. Result i is what simulateSampled(*configs[i], w,
+ * hooks) returns, bit for bit, except hostMillis: config i > 0 is
+ * charged its own warmups and windows, config 0 the rest of the run
+ * (the shared fast-forward included). @p windows_out receives the
+ * first config's windows. Throws on the first config that fails.
+ */
+std::vector<SimResult>
+simulateSampledRow(const std::vector<const SimConfig *> &configs,
+                   const WorkloadInstance &w, const SimHooks &hooks = {},
+                   std::vector<SampleWindow> *windows_out = nullptr);
 
 } // namespace svr
 

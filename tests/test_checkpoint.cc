@@ -10,6 +10,7 @@
  *    (a page beyond the address space, an allocation cursor below the
  *    data segment, an instruction count other than the sequence
  *    number) throws SimError(IoError), never restores;
+ *  - capture shares every page with the live memory it freezes;
  *  - the byte format itself is pinned by digest (CheckpointGolden).
  */
 
@@ -300,6 +301,21 @@ TEST(Checkpoint, SvrPredictorStateCarriesAcrossRestore)
                   back.svr.strideEntries[i].stride);
         EXPECT_EQ(out.strideEntries[i].lastUse,
                   back.svr.strideEntries[i].lastUse);
+    }
+}
+
+TEST(Checkpoint, CaptureSharesEveryPage)
+{
+    const WorkloadInstance w = findWorkload("BFS_UR").make();
+    Executor exec(*w.program, *w.mem);
+    exec.run(20000);
+    const Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
+    const auto frozen = FunctionalMemory(ck.mem).snapshotPages();
+    const auto live = w.mem->snapshotPages();
+    ASSERT_EQ(frozen.size(), live.size());
+    for (std::size_t i = 0; i < live.size(); i++) {
+        EXPECT_EQ(frozen[i].pageNum, live[i].pageNum);
+        EXPECT_EQ(frozen[i].data, live[i].data) << "page " << i;
     }
 }
 

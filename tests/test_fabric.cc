@@ -510,10 +510,10 @@ TEST(FabricEndToEnd, LeasesSpanningRowsMatchThreadEngine)
 
 TEST(FabricEndToEnd, SampledLeasesSplittingRowsMatchThreadEngine)
 {
-    // Sampled cells restore their row's fast-forward ladder within a
-    // lease; a lease that holds part of a row fast-forwards on its own
-    // (chunk 1 always, chunk 3 for every other row). The artifact is
-    // the same either way.
+    // A lease's sampled cells of one row run window-major as one
+    // unit; a lease that holds part of a row fast-forwards for that
+    // part on its own (chunk 1 always, chunk 3 for every other row).
+    // The artifact is the same either way.
     for (const unsigned chunk : {1u, 3u}) {
         E2E e("ino,svr16");
         SamplingParams sp;
@@ -555,10 +555,11 @@ TEST(FabricLease, BuildsEachRowOfALeaseOnce)
         ASSERT_GE(cells.size(), 2u);
         CellRows rows(workloads, e.configs, mopts, cells);
         std::vector<std::size_t> touched;
-        for (const std::size_t idx : cells) {
-            EXPECT_FALSE(rows.run(idx).failed);
-            rows.finish(idx);
-            touched.push_back(idx / e.configs.size());
+        for (std::size_t u = 0; u < rows.numUnits(); u++) {
+            rows.run(u, [&](std::size_t idx, const SimResult &res, double) {
+                EXPECT_FALSE(res.failed);
+                touched.push_back(idx / e.configs.size());
+            });
         }
         std::sort(touched.begin(), touched.end());
         rows_touched += static_cast<std::size_t>(
@@ -570,6 +571,62 @@ TEST(FabricLease, BuildsEachRowOfALeaseOnce)
         calls[0].load() + calls[1].load() + calls[2].load();
     EXPECT_EQ(builds, rows_touched);
     EXPECT_LT(builds, leased);
+}
+
+TEST(FabricLease, AutoSizedLeasesHoldWholeRows)
+{
+    // A 5-config sweep with auto-sized leases, served to a worker that
+    // records every lease and answers with the reference results: each
+    // lease is a run of whole rows, so a sampled row fast-forwards once.
+    E2E e("ino,imp,ooo,svr16,svr64");
+    const std::vector<SimResult> ref = e.reference();
+    const std::size_t num_configs = e.configs.size();
+    FabricOptions fopts;
+    fopts.listen = "unix:" + testSocketPath("rows");
+    fopts.progress = false;
+
+    std::vector<std::vector<std::size_t>> leases;
+    std::thread worker([&] {
+        WireConn c = wireConnect(WireAddr::parse(fopts.listen), 10000);
+        std::string msg;
+        c.send("HELLO " + std::to_string(fabricProtocolVersion) + " 1");
+        ASSERT_EQ(c.recv(msg, 10000), RecvStatus::Ok);
+        ASSERT_EQ(msg.rfind("WELCOME", 0), 0u) << msg;
+        for (;;) {
+            c.send("LEASE?");
+            ASSERT_EQ(c.recv(msg, 10000), RecvStatus::Ok);
+            TokenReader t(msg);
+            const std::string verb = t.raw();
+            if (verb == "FIN")
+                break;
+            ASSERT_EQ(verb, "LEASE") << msg;
+            const std::uint64_t id = t.u64();
+            leases.emplace_back(t.u64());
+            for (std::size_t &idx : leases.back()) {
+                idx = t.u64();
+                c.send("RESULT " + std::to_string(id) + " " +
+                       std::to_string(idx) + " " + journalLine(ref.at(idx)));
+                ASSERT_EQ(c.recv(msg, 10000), RecvStatus::Ok);
+            }
+            ASSERT_TRUE(t.ok) << msg;
+            c.send("DONE " + std::to_string(id));
+            ASSERT_EQ(c.recv(msg, 10000), RecvStatus::Ok);
+        }
+    });
+    const std::vector<SimResult> fab = runFabricSweep(
+        e.workloads, e.configs, e.spec, fopts, {}, nullptr, nullptr);
+    worker.join();
+    EXPECT_EQ(toJson(fab), toJson(ref));
+    ASSERT_FALSE(leases.empty());
+    std::size_t leased = 0;
+    for (std::vector<std::size_t> cells : leases) {
+        std::sort(cells.begin(), cells.end());
+        EXPECT_EQ(cells.front() % num_configs, 0u);
+        EXPECT_EQ(cells.size() % num_configs, 0u);
+        EXPECT_EQ(cells.back() - cells.front() + 1, cells.size());
+        leased += cells.size();
+    }
+    EXPECT_EQ(leased, ref.size());
 }
 
 TEST(FabricEndToEnd, RestoredCellsAreNeverLeasedAndStillEmitted)

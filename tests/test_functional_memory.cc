@@ -355,6 +355,41 @@ TEST(CowMemory, AFrozenForkKeepsItsImagePagesAlive)
     EXPECT_EQ(pageBytesOf(FunctionalMemory(second)), want);
 }
 
+TEST(CowMemory, ThawGivesBackThePagesTheFreezeTook)
+{
+    FunctionalMemory m(builtImage());
+    m.write64(FunctionalMemory::dataBase, 99); // owned; the rest shared
+    const auto pages = m.snapshotPages();
+    const std::string bytes = pageBytesOf(m);
+    const Addr top = m.allocTop();
+    auto image = std::make_shared<Image>(std::move(m));
+    {
+        FunctionalMemory fork(image);
+        fork.write64(FunctionalMemory::dataBase + 8, 5);
+        try {
+            m.thaw(std::move(image));
+            ADD_FAILURE() << "thawed while a fork is alive";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrCode::InternalInvariant);
+        }
+        ASSERT_NE(image, nullptr);
+    }
+    m.thaw(std::move(image));
+    EXPECT_EQ(image, nullptr);
+    const auto back = m.snapshotPages();
+    ASSERT_EQ(back.size(), pages.size());
+    for (std::size_t i = 0; i < pages.size(); i++) {
+        EXPECT_EQ(back[i].pageNum, pages[i].pageNum);
+        EXPECT_EQ(back[i].data, pages[i].data) << "page " << i;
+    }
+    EXPECT_EQ(m.allocTop(), top);
+    EXPECT_EQ(pageBytesOf(m), bytes);
+    // The page it owned is written in place again, not copied.
+    m.write64(FunctionalMemory::dataBase, 7);
+    EXPECT_EQ(m.snapshotPages()[0].data, pages[0].data);
+    EXPECT_EQ(m.read64(FunctionalMemory::dataBase), 7u);
+}
+
 // ---------------------------------------------------------------------
 // Page-at-a-time writes
 // ---------------------------------------------------------------------

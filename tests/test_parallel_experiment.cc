@@ -15,14 +15,11 @@
  *    (every cell simulates a copy-on-write fork of that build, and
  *    gets the results a fresh build gives), while a failing factory
  *    is retried and recorded exactly as with one build per cell;
- *  - one fast-forward per workload row: a sampled matrix gives the
- *    bytes of cells simulated without the row's ladder, for 1 and 4
- *    jobs (so a ThreadSanitizer build covers racing publishers), for
- *    programs that halt mid-region and for degenerate sampling; the
- *    second cell of a row restores every rung and fast-forwards
- *    nothing, also on an injected-fault retry, and also from rungs
- *    that went through the checkpoint byte format; capturing a rung
- *    shares every page with the live memory;
+ *  - window-major sampled rows: a sampled matrix, whose rows run as
+ *    one unit each, gives the bytes of one-config runs for 1 and 4
+ *    jobs, for programs that halt mid-region and for degenerate
+ *    sampling; faults stay in their cell (a config that fails
+ *    validation, an injected throw that a retry clears);
  *  - golden-stats snapshots for three representative cells, pinning
  *    IPC, cache misses, DRAM transfers, and prefetch accuracy so
  *    timing-model drift is caught in CI, not in a regenerated paper
@@ -45,6 +42,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -55,11 +53,9 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/executor.hh"
-#include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
-#include "sim/sampled_sim.hh"
 #include "test_helpers.hh"
 #include "workloads/suites.hh"
 
@@ -611,7 +607,7 @@ TEST(SharedBuilds, FailingBuildIsRetriedAndRecordedPerCell)
 }
 
 // ---------------------------------------------------------------------
-// One fast-forward per workload row
+// Window-major sampled rows
 // ---------------------------------------------------------------------
 
 /**
@@ -630,46 +626,41 @@ sampled(std::vector<SimConfig> cfgs, std::uint64_t region)
     return cfgs;
 }
 
-/** Every cell simulated on a fresh fork of its build, with no ladder. */
+/** Every cell simulated on its own, on a fresh fork of its build. */
 std::vector<SimResult>
-withoutLadder(const std::vector<WorkloadSpec> &specs,
+oneConfigRuns(const std::vector<WorkloadSpec> &specs,
               const std::vector<SimConfig> &configs)
 {
     std::vector<SimResult> out;
     for (const WorkloadSpec &spec : specs) {
         const WorkloadImage image(spec.make());
         for (const SimConfig &c : configs) {
-            const WorkloadInstance w = image.fork();
-            EXPECT_EQ(w.ladder, nullptr);
-            out.push_back(simulate(c, w));
+            out.push_back(simulate(c, image.fork()));
             out.back().workload = spec.name;
         }
     }
     return out;
 }
 
-TEST(RowLadder, SampledMatrixMatchesRunsWithoutLadder)
+TEST(SampledRow, MatrixMatchesOneConfigRuns)
 {
+    const std::vector<WorkloadSpec> specs = quickSuite();
     const std::vector<SimConfig> configs = sampled(
         {presets::inorder(), presets::impCore(), presets::outOfOrder(),
          presets::svrCore(16), presets::svrCore(64)},
         40000);
-    const std::vector<SimResult> ref_cells =
-        withoutLadder(quickSuite(), configs);
-    const std::string ref = toJson(ref_cells);
-    std::uint64_t ref_ffed = 0;
-    for (const SimResult &r : ref_cells)
-        ref_ffed += r.fastForwarded;
+    // Each row's five cells are one unit.
+    std::vector<std::size_t> all(specs.size() * configs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const MatrixOptions quiet = quietOptions(1);
+    EXPECT_EQ(CellRows(specs, configs, quiet, all).numUnits(), specs.size());
+
+    const std::string ref = toJson(oneConfigRuns(specs, configs));
     for (const unsigned jobs : {1u, 4u}) {
-        const std::vector<SimResult> res = flattenMatrix(
-            runMatrix(quickSuite(), configs, quietOptions(jobs)));
-        const std::string got = toJson(res);
+        const std::string got = toJson(
+            flattenMatrix(runMatrix(specs, configs, quietOptions(jobs))));
         EXPECT_TRUE(got == ref) << "jobs " << jobs << ":\n"
                                 << firstJsonDiff(ref, got);
-        std::uint64_t ffed = 0;
-        for (const SimResult &r : res)
-            ffed += r.fastForwarded;
-        EXPECT_LT(ffed, ref_ffed) << "jobs " << jobs << ": no rung restored";
     }
 }
 
@@ -722,7 +713,7 @@ haltsAfter(const WorkloadSpec &spec)
     return exec.instructionsExecuted();
 }
 
-TEST(RowLadder, ProgramsHaltingMidRegionMatchRunsWithoutLadder)
+TEST(SampledRow, ProgramsHaltingMidRegionMatchOneConfigRuns)
 {
     // Periods of 1000: fast-forward 800, warmup 100, window 100.
     std::vector<SimConfig> configs = {presets::inorder(),
@@ -739,7 +730,7 @@ TEST(RowLadder, ProgramsHaltingMidRegionMatchRunsWithoutLadder)
     ASSERT_LT(haltsAfter(specs[0]) % 1000, 800u);
     ASSERT_GE(haltsAfter(specs[1]) % 1000, 900u);
 
-    const std::string ref = toJson(withoutLadder(specs, configs));
+    const std::string ref = toJson(oneConfigRuns(specs, configs));
     for (const unsigned jobs : {1u, 4u}) {
         const std::string got =
             toJson(flattenMatrix(runMatrix(specs, configs,
@@ -749,10 +740,10 @@ TEST(RowLadder, ProgramsHaltingMidRegionMatchRunsWithoutLadder)
     }
 }
 
-TEST(RowLadder, DegenerateSamplingMatchesFullDetail)
+TEST(SampledRow, DegenerateSamplingMatchesFullDetail)
 {
-    // Window == period == region: no fast-forward, so no rung, and the
-    // single window is the full-detail run bit for bit.
+    // Window == period == region: no fast-forward, and the single
+    // window is the full-detail run bit for bit.
     std::vector<SimConfig> full = smallConfigs(), degenerate = full;
     for (auto &c : degenerate) {
         c.sampling.sampleEvery = c.maxInstructions;
@@ -760,108 +751,58 @@ TEST(RowLadder, DegenerateSamplingMatchesFullDetail)
     }
     std::vector<std::atomic<unsigned>> calls(3);
     const std::vector<WorkloadSpec> specs = countedSpecs(calls);
-    const std::vector<SimResult> ref = withoutLadder(specs, full);
+    const std::vector<SimResult> ref = oneConfigRuns(specs, full);
     for (const unsigned jobs : {1u, 4u}) {
         const std::vector<SimResult> res = flattenMatrix(
             runMatrix(specs, degenerate, quietOptions(jobs)));
         ASSERT_EQ(res.size(), ref.size());
         for (std::size_t i = 0; i < res.size(); i++) {
             EXPECT_TRUE(res[i].sampled);
-            EXPECT_EQ(res[i].fastForwarded, 0u);
             expectResultEqual(res[i], ref[i]);
         }
     }
 }
 
-TEST(RowLadder, SecondCellOfARowRestoresEveryRung)
+TEST(SampledRow, FaultsStayInTheirCell)
 {
-    const std::vector<SimConfig> configs =
-        sampled({presets::inorder(), presets::svrCore(16)}, 40000);
-    const std::vector<WorkloadSpec> specs = {findWorkload("BFS_UR"),
-                                             findWorkload("Camel")};
-    const std::vector<SimResult> ref = withoutLadder(specs, configs);
-
-    // Serially the first cell of a row fast-forwards and records; the
-    // second restores every rung and fast-forwards nothing. An
-    // injected throw on the second cell's first attempt changes
-    // nothing: its retry restores too.
-    for (const char *fault : {"", "throw@*/SVR16:1"}) {
-        MatrixOptions opts = quietOptions(1);
-        opts.faultPlan = FaultPlan::parse(fault);
-        opts.maxAttempts = 2;
-        const std::vector<MatrixRow> rows =
-            runMatrix(specs, configs, opts);
-        ASSERT_EQ(rows.size(), specs.size());
-        for (std::size_t wi = 0; wi < rows.size(); wi++) {
-            const SimResult &first = rows[wi].results[0];
-            const SimResult &second = rows[wi].results[1];
-            const std::string cell = rows[wi].workload + " '" + fault + "'";
-            EXPECT_EQ(first.fastForwarded, ref[wi * 2].fastForwarded)
-                << cell;
-            EXPECT_EQ(second.sampleWindows, 5u) << cell;
-            EXPECT_EQ(second.fastForwarded, 0u) << cell;
-            EXPECT_EQ(second.attempts, *fault ? 2u : 1u) << cell;
-            expectResultEqual(first, ref[wi * 2]);
-            expectResultEqual(second, ref[wi * 2 + 1]);
+    // One row of three sampled configs: one fails validation, one
+    // throws on its first attempt only, one is clean. Without the
+    // injected throw the row runs jointly, the joint run fails on the
+    // invalid config, and every cell runs again on its own.
+    SimConfig invalid = presets::svrCore(16);
+    invalid.label = "SVR0";
+    invalid.svr.vectorLength = 0;
+    const std::vector<WorkloadSpec> specs = {findWorkload("BFS_UR")};
+    const std::vector<SimConfig> configs = sampled(
+        {invalid, presets::inorder(), presets::svrCore(16)}, 40000);
+    for (const char *fault : {"throw@BFS_UR/InO:1", ""}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            MatrixOptions opts = quietOptions(jobs);
+            opts.keepGoing = true;
+            opts.maxAttempts = 2;
+            opts.faultPlan = FaultPlan::parse(fault);
+            std::vector<SimResult> res =
+                flattenMatrix(runMatrix(specs, configs, opts));
+            const std::string what =
+                std::string("'") + fault + "', jobs " + std::to_string(jobs);
+            ASSERT_EQ(res.size(), 3u);
+            EXPECT_TRUE(res[0].failed) << what;
+            EXPECT_EQ(res[0].errCode, "ConfigInvalid") << what;
+            EXPECT_EQ(res[0].attempts, 2u) << what;
+            EXPECT_FALSE(res[1].failed) << what;
+            EXPECT_EQ(res[1].attempts, *fault ? 2u : 1u) << what;
+            for (std::size_t c = 0; c < res.size(); c++) {
+                // Byte for byte what the cell gives in a matrix of its
+                // own, failure record and attempts included.
+                const SimResult own = flattenMatrix(
+                    runMatrix(specs, {configs[c]}, opts))[0];
+                EXPECT_EQ(journalLine(res[c]), journalLine(own))
+                    << configs[c].label << ", " << what;
+            }
+            // The retried cell has the results of a fault-free run.
+            res[1].attempts = 1;
+            expectResultEqual(res[1], oneConfigRuns(specs, {configs[1]})[0]);
         }
-    }
-
-    // Without a ladder every run fast-forwards each period itself.
-    for (const SimResult &r : ref) {
-        EXPECT_EQ(r.fastForwarded,
-                  r.core.instructions - r.sampleWindows *
-                                            (configs[0].sampling.warmup +
-                                             configs[0].sampling.sampleWindow));
-    }
-}
-
-TEST(RowLadder, RungsSurviveTheByteFormat)
-{
-    const std::vector<SimConfig> configs =
-        sampled({presets::inorder(), presets::svrCore(16)}, 40000);
-    const WorkloadSpec spec = findWorkload("BFS_UR");
-    const std::vector<SimResult> ref = withoutLadder({spec}, configs);
-
-    // The row's first cell records a rung at every window's start.
-    const WorkloadImage image(spec.make());
-    WorkloadInstance first = image.fork();
-    first.ladder = std::make_shared<FastForwardLadder>();
-    simulate(configs[0], first);
-
-    // Each rung goes through the byte format into a fresh ladder.
-    const SamplingParams &sp = configs[0].sampling;
-    const std::uint64_t ff = sp.sampleEvery - sp.sampleWindow - sp.warmup;
-    auto loaded = std::make_shared<FastForwardLadder>();
-    for (std::uint64_t period = 0; period < configs[0].maxInstructions;
-         period += sp.sampleEvery) {
-        const std::optional<Checkpoint> rung = first.ladder->find(period + ff);
-        ASSERT_TRUE(rung) << "no rung at " << period + ff;
-        EXPECT_FALSE(rung->hasSvr);
-        loaded->publish(deserializeCheckpoint(serializeCheckpoint(*rung)));
-    }
-
-    // A cell of another config restores every loaded rung.
-    WorkloadInstance second = image.fork();
-    second.ladder = loaded;
-    SimResult got = simulate(configs[1], second);
-    got.workload = spec.name;
-    EXPECT_EQ(got.fastForwarded, 0u);
-    EXPECT_EQ(toJson(std::vector<SimResult>{got}),
-              toJson(std::vector<SimResult>{ref[1]}));
-}
-
-TEST(RowLadder, CaptureSharesEveryPage)
-{
-    const WorkloadInstance w = findWorkload("BFS_UR").make();
-    Executor exec(*w.program, *w.mem);
-    exec.run(20000);
-    const Checkpoint ck = captureCheckpoint(exec, *w.mem, w.name);
-    const auto frozen = FunctionalMemory(ck.mem).snapshotPages();
-    const auto live = w.mem->snapshotPages();
-    ASSERT_EQ(frozen.size(), live.size());
-    for (std::size_t i = 0; i < live.size(); i++) {
-        EXPECT_EQ(frozen[i].pageNum, live[i].pageNum);
-        EXPECT_EQ(frozen[i].data, live[i].data) << "page " << i;
     }
 }
 

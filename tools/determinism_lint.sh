@@ -28,9 +28,10 @@ root="${1:-.}"
 # here because snapshotPages() feeds the checkpoint bytes; rng.cc,
 # graph.cc and workload.cc because every artifact depends on the bytes
 # of the inputs they generate and lay out; sampled_sim.cc because a
-# sweep row's cells restore the fast-forward ladder it keeps, so a
-# rung keyed or chosen by anything but the instruction count would
-# leak scheduling into every sampled result; result_fields.cc because
+# sampled row runs its configs window by window from one shared
+# machine, so anything but the instruction count deciding where a
+# window starts or what state a config carries into it would leak the
+# row's grouping into every sampled result; result_fields.cc because
 # its table orders every report, journal record and fabric RESULT.
 files=(
     src/sim/report.cc

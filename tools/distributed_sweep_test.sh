@@ -55,7 +55,9 @@ cmp "$DIR/ref.csv" "$DIR/fab.csv" ||
     fail "fabric CSV differs from the serial run"
 
 echo "== step 3: worker SIGKILLed mid-sweep, output still identical"
-SVRSIM_FAULT='kill@Camel/SVR16' \
+# Auto-sized leases hold whole rows, so the worker dies after the first
+# cell of its Camel lease, holding the second: that cell is reassigned.
+SVRSIM_FAULT='kill@Camel/InO' \
     "$SWEEP" $ARGS --json --workers 3 --out "$DIR/kill.json" \
     2> "$DIR/kill.log"
 grep -q "injected kill" "$DIR/kill.log" ||
