@@ -549,6 +549,11 @@ TEST(ChainXcheck, MatrixQuickSuiteUnderSvr16AndSvr64)
             const ChainCrossCheck res = crossValidateChains(config, spec);
             EXPECT_TRUE(res.available);
             EXPECT_TRUE(res.violations.empty()) << joined(res.violations);
+            // The static oracle predicts every dynamic chain root as
+            // stride-rooted (ARCHITECTURE.md section 12).
+            EXPECT_DOUBLE_EQ(res.coverage(), 1.0)
+                << res.coveredStrideRooted << " of " << res.dynRoots
+                << " dynamic roots covered";
             // Every dynamic root must be accounted for: covered as
             // stride-rooted, or explicitly reported (chain-dependent /
             // irregular are legal dynamic roots, never silent).

@@ -1,18 +1,17 @@
 /**
  * @file
- * bench_report — standalone sim-speed measurement (no google-benchmark
- * dependency). Runs every core model over the camel kernel, timing the
- * host-speed reference kernel (host_ref.hh) around and between the
- * runs, times the hottest primitives, and writes the results as BENCH_simspeed.json so
+ * bench_report — standalone host-speed measurement. Runs every core
+ * model over the camel kernel in round-robin blocks, each bracketed by
+ * runs of the host-speed reference kernel (host_ref.hh), times the
+ * hottest primitives, and writes the results as BENCH_simspeed.json so
  * sim-speed can be tracked over time alongside the repo.
  *
  * Usage:
  *   bench_report [--quick] [--sampling] [--out PATH]
  *   bench_report --regress [--baseline PATH] [--threshold PCT] [--quick]
  *                [--out PATH]
- *   bench_report --chains [--quick] [--out PATH]
  *
- *   --quick     small windows / single repetition (CI smoke)
+ *   --quick     small windows and 5 blocks instead of 31 (CI smoke)
  *   --sampling  measure sampled-vs-full accuracy and speedup instead,
  *               writing BENCH_sampling.json: each core model runs the
  *               same region once in full detail and once sampled
@@ -21,26 +20,19 @@
  *   --out       output path (default: BENCH_simspeed.json, or
  *               BENCH_sampling.json with --sampling)
  *   --regress   regression gate: re-measure the timing cores and exit
- *               nonzero if any core's host-normalised speed (Msimips
- *               x host-reference ms, see host_ref.hh) fell more than
- *               the threshold (default 15%) below the committed
- *               BENCH_simspeed.json's. Opt-in in CI (wall-clock
- *               measurements are load-sensitive):
- *               `ctest -C bench-regress`. With --out, the per-core
- *               comparison (raw and normalised, baseline/measured/
- *               delta) is also written as machine-readable JSON for
- *               CI dashboards.
+ *               nonzero if any core's host-normalised speed (the
+ *               median over blocks of Msimips x host-reference ms, see
+ *               host_ref.hh) fell more than the threshold (default
+ *               15%) below the committed BENCH_simspeed.json's.
+ *               Opt-in in CI (wall-clock measurements are
+ *               load-sensitive): `ctest -C bench-regress`. With --out,
+ *               the per-core comparison (raw and normalised,
+ *               baseline/measured/delta) is also written as
+ *               machine-readable JSON for CI dashboards.
  *   --baseline  baseline JSON for --regress (default:
  *               BENCH_simspeed.json next to the current directory)
- *   --threshold allowed normalised-speed drop in percent for --regress
- *   --chains    static-vs-dynamic chain coverage matrix: cross-validate
- *               the static dependence-chain oracle against the SVR
- *               engine's recorded chain log for every quick-suite
- *               workload under SVR16 and SVR64, printing the coverage
- *               table (and writing it as JSON with --out). Dynamic
- *               columns need an SVR_ARCHCHECK build; in Release the
- *               static columns still print. Exits nonzero on any
- *               cross-validation violation.
+ *   --threshold allowed normalised-speed drop in percent for
+ *               --regress, in (0, 100)
  *
  * The committed artifacts are regenerated with the SVR_BENCH_JSON and
  * SVR_BENCH_SAMPLING_JSON targets, e.g.
@@ -57,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/chain_xcheck.hh"
 #include "common/error.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
@@ -72,7 +63,6 @@
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
 #include "workloads/hpcdb_kernels.hh"
-#include "workloads/suites.hh"
 #include "workloads/workload.hh"
 
 using namespace svr;
@@ -89,7 +79,7 @@ secondsSince(Clock::time_point t0)
     return d.count();
 }
 
-/** The same kernel bench/micro_simspeed.cc measures (never stores). */
+/** The camel kernel at a reduced size (it never stores). */
 WorkloadInstance
 benchWorkload()
 {
@@ -102,8 +92,9 @@ benchWorkload()
 struct CoreSpeed
 {
     std::string label;
-    double millis = 0.0;   //!< best-of-reps timing-loop wall time
-    double msimips = 0.0;  //!< simulated Minstructions per host second
+    double millis = 0.0;  //!< median timing-loop wall time
+    double msimips = 0.0; //!< median simulated Minstructions per host second
+    double norm = 0.0;    //!< median Msimips x host-reference ms
 };
 
 /** Iterations of one host-reference run: 10-15 ms on an x86-64 server. */
@@ -124,41 +115,61 @@ hostRefMillis()
 struct CoreRun
 {
     std::vector<CoreSpeed> cores;
-    /** The fastest host-reference run around and between the cores. */
-    double hostRefMs = 0.0;
+    double hostRefMs = 0.0; //!< median host-reference ms of a block
 };
 
+/** The median of @p v (the mean of the middle two for an even count). */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
 /**
- * Best-of-N runs of each timing core over @p w, with the host
- * reference timed before, between and after: Msimips x hostRefMs
- * (thousands of simulated instructions per reference run) cancels the
- * host's speed. The baseline and the --regress gate take the same
- * best-of-N, which converges toward unloaded-host speed. The
- * repetitions go round robin over the cores, so each best-of spans
- * the whole measurement and a burst of host load cannot spoil every
- * repetition of one core.
+ * Round-robin blocks of the timing cores over @p w (31, or 5 under
+ * @p quick), each a host-reference run, each core once, then another
+ * host-reference run (which opens the next block). Each core's Msimips
+ * is normalised by the mean of the two reference runs around its
+ * block: Msimips x host-reference ms (thousands of simulated
+ * instructions per reference run) cancels the host's speed. The
+ * baseline and the --regress gate take the same per-core median over
+ * blocks, so a burst of host load spoils a block or two, not the
+ * estimate. 31 blocks span about 3 s: over 10 alternated runs each on
+ * a shared 4-vCPU x86-64 VM, the median's CV per core was 2-3% with 31
+ * blocks and 4-6% with 15.
  */
 CoreRun
 measureCores(const WorkloadInstance &w, std::uint64_t window, bool quick)
 {
-    const unsigned reps = quick ? 2 : 5;
+    const unsigned blocks = quick ? 5 : 31;
     std::vector<SimConfig> configs = {
         presets::inorder(), presets::impCore(), presets::outOfOrder(),
         presets::svrCore(16), presets::svrCore(64)};
     for (SimConfig &config : configs)
         config.maxInstructions = window;
-    CoreRun run;
-    run.hostRefMs = hostRefMillis();
-    run.cores.resize(configs.size());
-    for (unsigned r = 0; r < reps; r++) {
+    std::vector<double> refs;
+    std::vector<std::vector<double>> millis(configs.size()),
+        msimips(configs.size()), norm(configs.size());
+    double before = hostRefMillis();
+    for (unsigned b = 0; b < blocks; b++) {
         for (std::size_t c = 0; c < configs.size(); c++) {
             const SimResult res = simulate(configs[c], w);
-            CoreSpeed &best = run.cores[c];
-            if (best.millis == 0.0 || res.hostMillis < best.millis)
-                best = {configs[c].label, res.hostMillis, res.hostMsimips()};
+            millis[c].push_back(res.hostMillis);
+            msimips[c].push_back(res.hostMsimips());
         }
-        run.hostRefMs = std::min(run.hostRefMs, hostRefMillis());
+        const double after = hostRefMillis();
+        refs.push_back((before + after) / 2.0);
+        for (std::size_t c = 0; c < configs.size(); c++)
+            norm[c].push_back(msimips[c].back() * refs.back());
+        before = after;
     }
+    CoreRun run;
+    run.hostRefMs = median(refs);
+    for (std::size_t c = 0; c < configs.size(); c++)
+        run.cores.push_back({configs[c].label, median(millis[c]),
+                             median(msimips[c]), median(norm[c])});
     return run;
 }
 
@@ -461,35 +472,8 @@ runSamplingBench(bool quick, const std::string &out_path)
     return 0;
 }
 
-/**
- * Pull the per-core {label, msimips} rows out of a bench JSON. This is
- * a scanner over the exact format this tool writes (one core object
- * per line), not a general JSON parser — good enough to read back our
- * own committed artifact.
- */
-std::vector<CoreSpeed>
-parseBaselineCores(const std::string &text)
-{
-    std::vector<CoreSpeed> rows;
-    std::size_t pos = 0;
-    while ((pos = text.find("{\"label\": \"", pos)) != std::string::npos) {
-        pos += std::strlen("{\"label\": \"");
-        const std::size_t end = text.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        CoreSpeed row;
-        row.label = text.substr(pos, end - pos);
-        const std::size_t mpos = text.find("\"msimips\": ", end);
-        if (mpos == std::string::npos)
-            break;
-        row.msimips =
-            std::strtod(text.c_str() + mpos + std::strlen("\"msimips\": "),
-                        nullptr);
-        rows.push_back(std::move(row));
-        pos = end;
-    }
-    return rows;
-}
+/** The schema of BENCH_simspeed.json that --regress can compare with. */
+constexpr const char *simspeedSchema = "svrsim-bench-simspeed-v3";
 
 /** The number after the first `"key": ` in @p text, or 0 if none. */
 double
@@ -502,14 +486,39 @@ jsonNumber(const std::string &text, const std::string &key)
                : std::strtod(text.c_str() + pos + tag.size(), nullptr);
 }
 
+/**
+ * Pull the per-core {label, msimips, norm} rows out of a bench JSON.
+ * This is a scanner over the exact format this tool writes (one core
+ * object per line), not a general JSON parser — good enough to read
+ * back our own committed artifact.
+ */
+std::vector<CoreSpeed>
+parseBaselineCores(const std::string &text)
+{
+    std::vector<CoreSpeed> rows;
+    const std::string tag = "{\"label\": \"";
+    std::size_t pos = 0;
+    while ((pos = text.find(tag, pos)) != std::string::npos) {
+        pos += tag.size();
+        const std::size_t end = text.find('"', pos);
+        if (end == std::string::npos)
+            break;
+        const std::string row = text.substr(end, text.find('}', end) - end);
+        rows.push_back({text.substr(pos, end - pos), 0.0,
+                        jsonNumber(row, "msimips"), jsonNumber(row, "norm")});
+        pos = end;
+    }
+    return rows;
+}
+
 /** One core's baseline-vs-fresh comparison (--regress). */
 struct RegressRow
 {
     std::string label;
     double baseline = 0.0;     //!< committed Msimips (0 = no baseline row)
     double measured = 0.0;     //!< fresh Msimips
-    double baselineNorm = 0.0; //!< committed Msimips x host-reference ms
-    double measuredNorm = 0.0; //!< fresh Msimips x host-reference ms
+    double baselineNorm = 0.0; //!< committed CoreSpeed::norm
+    double measuredNorm = 0.0; //!< fresh CoreSpeed::norm
     double deltaPct = 0.0;     //!< normalised change, in percent
     double floor = 0.0;        //!< baselineNorm scaled by the threshold
     bool regressed = false;
@@ -524,10 +533,10 @@ deltaPct(double now, double then)
 
 /**
  * --regress mode: re-measure the timing cores and compare against the
- * committed baseline, each speed normalised by the host reference
- * timed with it. Exit 0 if every core's Msimips x host-reference ms
- * is within @p threshold_pct of its baseline's, 1 on a regression, 2
- * on a bad baseline (no core rows, or no host reference). With
+ * committed baseline with the estimator that wrote it (measureCores()).
+ * Exit 0 if every core's median Msimips x host-reference ms is within
+ * @p threshold_pct of its baseline's, 1 on a regression, 2 on a bad
+ * baseline (another schema, or no core rows). With
  * @p out_path, the comparison is also written as machine-readable
  * JSON (per-core raw and normalised figures) for CI dashboards.
  */
@@ -536,6 +545,14 @@ runRegressCheck(bool quick, const std::string &baseline_path,
                 double threshold_pct, const std::string &out_path)
 {
     const std::string text = readFile(baseline_path);
+    if (text.find(std::string("\"schema\": \"") + simspeedSchema + "\"") ==
+        std::string::npos) {
+        std::fprintf(stderr,
+                     "bench_report: %s is not %s: it has no per-core "
+                     "medians to compare with (regenerate it)\n",
+                     baseline_path.c_str(), simspeedSchema);
+        return 2;
+    }
     const std::vector<CoreSpeed> baseline = parseBaselineCores(text);
     if (baseline.empty()) {
         std::fprintf(stderr, "bench_report: no core rows in %s\n",
@@ -543,13 +560,6 @@ runRegressCheck(bool quick, const std::string &baseline_path,
         return 2;
     }
     const double base_ref = jsonNumber(text, "host_ref_ms");
-    if (base_ref <= 0.0) {
-        std::fprintf(stderr,
-                     "bench_report: no host_ref_ms in %s: its Msimips "
-                     "cannot be normalised (regenerate it)\n",
-                     baseline_path.c_str());
-        return 2;
-    }
 
     // Measure with the same window the baseline was measured with
     // (Msimips depends on the window: shorter windows amortize less
@@ -572,7 +582,7 @@ runRegressCheck(bool quick, const std::string &baseline_path,
         RegressRow row;
         row.label = fresh.label;
         row.measured = fresh.msimips;
-        row.measuredNorm = fresh.msimips * run.hostRefMs;
+        row.measuredNorm = fresh.norm;
         if (!base) {
             // A core model missing from the committed file is stale
             // tooling, not a perf regression; flag but keep comparing.
@@ -582,7 +592,7 @@ runRegressCheck(bool quick, const std::string &baseline_path,
             continue;
         }
         row.baseline = base->msimips;
-        row.baselineNorm = base->msimips * base_ref;
+        row.baselineNorm = base->norm;
         row.floor = row.baselineNorm * (1.0 - threshold_pct / 100.0);
         row.deltaPct = deltaPct(row.measuredNorm, row.baselineNorm);
         row.regressed = row.measuredNorm < row.floor;
@@ -605,7 +615,7 @@ runRegressCheck(bool quick, const std::string &baseline_path,
     if (!out_path.empty()) {
         std::string json;
         appendf(json, "{\n");
-        appendf(json, "  \"schema\": \"svrsim-bench-regress-v2\",\n");
+        appendf(json, "  \"schema\": \"svrsim-bench-regress-v3\",\n");
         appendf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
         appendf(json, "  \"threshold_pct\": %.1f,\n", threshold_pct);
         appendf(json, "  \"window_instructions\": %llu,\n",
@@ -638,120 +648,6 @@ runRegressCheck(bool quick, const std::string &baseline_path,
     return failed ? 1 : 0;
 }
 
-/**
- * --chains: the static-vs-dynamic chain coverage matrix. Every
- * quick-suite workload is analyzed statically and (in SVR_ARCHCHECK
- * builds) replayed under SVR16 and SVR64 with the engine's chain log
- * enabled; the table reports how many dynamic chain roots the static
- * oracle predicted as stride-rooted and how many predicted chains
- * actually fired. This is the table quoted in README/ARCHITECTURE.
- */
-int
-runChainsCoverage(bool quick, const std::string &out_path)
-{
-    const std::uint64_t window = quick ? 20000 : 100000;
-    const bool dynamic = chainRecordingEnabled();
-
-    if (!dynamic)
-        std::fprintf(stderr,
-                     "bench_report: chain recording compiled out "
-                     "(Release); dynamic columns are static-only — "
-                     "use the fastsim-check preset for the full "
-                     "matrix\n");
-
-    struct Cell
-    {
-        std::string workload;
-        std::string config;
-        std::size_t staticChains;
-        std::size_t staticTriggered;
-        std::size_t dynRoots;
-        std::size_t covered;
-        std::size_t irregular;
-        double coverage;
-        double precision;
-        std::size_t violations;
-    };
-    std::vector<Cell> cells;
-    bool failed = false;
-
-    std::printf("%-10s %-6s %7s %8s %8s %9s %9s %9s\n", "workload",
-                "config", "chains", "dynroots", "covered", "irreg",
-                "coverage", "precision");
-    for (unsigned n : {16u, 64u}) {
-        SimConfig config = presets::svrCore(n);
-        config.maxInstructions = window;
-        for (const WorkloadSpec &spec : quickSuite()) {
-            Cell c{};
-            c.workload = spec.name;
-            c.config = config.label;
-            if (dynamic) {
-                const ChainCrossCheck res =
-                    crossValidateChains(config, spec);
-                c.staticChains = res.staticChains;
-                c.staticTriggered = res.staticChainsTriggered;
-                c.dynRoots = res.dynRoots;
-                c.covered = res.coveredStrideRooted;
-                c.irregular = res.irregularRoots;
-                c.coverage = res.coverage();
-                c.precision = res.precision();
-                c.violations = res.violations.size();
-                for (const std::string &v : res.violations)
-                    std::fprintf(stderr, "  violation: %s/%s: %s\n",
-                                 spec.name.c_str(),
-                                 config.label.c_str(), v.c_str());
-                failed = failed || !res.violations.empty();
-            } else {
-                const WorkloadInstance inst = spec.make();
-                const ChainReport report =
-                    analyzeChains(*inst.program);
-                c.staticChains = report.chains.size();
-                c.coverage = 1.0;
-                c.precision = 0.0;
-            }
-            std::printf("%-10s %-6s %7zu %8zu %8zu %9zu %8.0f%% "
-                        "%8.0f%%\n",
-                        c.workload.c_str(), c.config.c_str(),
-                        c.staticChains, c.dynRoots, c.covered,
-                        c.irregular, c.coverage * 100.0,
-                        c.precision * 100.0);
-            cells.push_back(c);
-        }
-    }
-
-    if (!out_path.empty()) {
-        std::string json;
-        appendf(json, "{\n");
-        appendf(json, "  \"schema\": \"svrsim-bench-chains-v1\",\n");
-        appendf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-        appendf(json, "  \"dynamic\": %s,\n", dynamic ? "true" : "false");
-        appendf(json, "  \"window_instructions\": %llu,\n",
-                static_cast<unsigned long long>(window));
-        appendf(json, "  \"cells\": [\n");
-        for (std::size_t i = 0; i < cells.size(); i++) {
-            const Cell &c = cells[i];
-            appendf(json,
-                    "    {\"workload\": \"%s\", \"config\": \"%s\", "
-                    "\"static_chains\": %zu, "
-                    "\"static_triggered\": %zu, \"dyn_roots\": %zu, "
-                    "\"covered_stride_rooted\": %zu, "
-                    "\"irregular_roots\": %zu, \"coverage\": %.4f, "
-                    "\"precision\": %.4f, \"violations\": %zu}%s\n",
-                    c.workload.c_str(), c.config.c_str(),
-                    c.staticChains,
-                    c.staticTriggered, c.dynRoots, c.covered,
-                    c.irregular, c.coverage, c.precision, c.violations,
-                    i + 1 < cells.size() ? "," : "");
-        }
-        appendf(json, "  ]\n");
-        appendf(json, "}\n");
-        writeFileAtomic(out_path, json, FaultPlan::fromEnv());
-        std::fprintf(stderr, "bench_report: wrote %s\n",
-                     out_path.c_str());
-    }
-    return failed ? 1 : 0;
-}
-
 } // namespace
 
 int
@@ -760,7 +656,6 @@ try {
     bool quick = false;
     bool sampling = false;
     bool regress = false;
-    bool chains = false;
     std::string out_path;
     std::string baseline_path = "BENCH_simspeed.json";
     double threshold_pct = 15.0;
@@ -771,8 +666,6 @@ try {
             sampling = true;
         } else if (std::strcmp(argv[i], "--regress") == 0) {
             regress = true;
-        } else if (std::strcmp(argv[i], "--chains") == 0) {
-            chains = true;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
@@ -780,25 +673,25 @@ try {
         } else if (std::strcmp(argv[i], "--threshold") == 0 &&
                    i + 1 < argc) {
             threshold_pct = parseNumber<double>(argv[++i], "--threshold");
+            if (!(threshold_pct > 0.0 && threshold_pct < 100.0))
+                throw simErrorf(ErrCode::ConfigInvalid, {},
+                                "--threshold: '%s' is not in (0, 100)",
+                                argv[i]);
         } else {
             std::fprintf(stderr,
                          "usage: bench_report [--quick] [--sampling] "
                          "[--out PATH]\n"
                          "       bench_report --regress [--baseline PATH] "
-                         "[--threshold PCT] [--quick]\n"
-                         "       bench_report --chains [--quick] "
-                         "[--out PATH]\n");
+                         "[--threshold PCT] [--quick]\n");
             return 1;
         }
     }
-    // --regress/--chains only write JSON when --out is given explicitly.
-    if (out_path.empty() && !regress && !chains)
+    // --regress only writes JSON when --out is given explicitly.
+    if (out_path.empty() && !regress)
         out_path = sampling ? "BENCH_sampling.json" : "BENCH_simspeed.json";
 
     setInformEnabled(false);
 
-    if (chains)
-        return runChainsCoverage(quick, out_path);
     if (regress)
         return runRegressCheck(quick, baseline_path, threshold_pct,
                                out_path);
@@ -814,8 +707,10 @@ try {
     const CoreRun run = measureCores(w, window, quick);
     const std::vector<CoreSpeed> &cores = run.cores;
     for (const CoreSpeed &core : cores) {
-        std::fprintf(stderr, "  %-8s %8.2f ms  %8.2f Msimips\n",
-                     core.label.c_str(), core.millis, core.msimips);
+        std::fprintf(stderr,
+                     "  %-8s %8.2f ms  %8.2f Msimips  normalised %8.2f\n",
+                     core.label.c_str(), core.millis, core.msimips,
+                     core.norm);
     }
     std::fprintf(stderr, "  host reference %.3f ms\n", run.hostRefMs);
 
@@ -838,7 +733,7 @@ try {
 
     std::string json;
     appendf(json, "{\n");
-    appendf(json, "  \"schema\": \"svrsim-bench-simspeed-v2\",\n");
+    appendf(json, "  \"schema\": \"%s\",\n", simspeedSchema);
     appendf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
     appendf(json, "  \"workload\": \"camel\",\n");
     appendf(json, "  \"window_instructions\": %llu,\n",
@@ -848,9 +743,10 @@ try {
     for (std::size_t i = 0; i < cores.size(); i++) {
         appendf(json,
                 "    {\"label\": \"%s\", \"timing_millis\": %.3f, "
-                "\"msimips\": %.3f}%s\n",
+                "\"msimips\": %.3f, \"norm\": %.3f}%s\n",
                 cores[i].label.c_str(), cores[i].millis,
-                cores[i].msimips, i + 1 < cores.size() ? "," : "");
+                cores[i].msimips, cores[i].norm,
+                i + 1 < cores.size() ? "," : "");
     }
     appendf(json, "  ],\n");
     appendf(json, "  \"primitives_ns\": {\n");
