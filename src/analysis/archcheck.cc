@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/checkpoint.hh"
 #include "svr/svr_engine.hh"
 #include "svr/taint_tracker.hh"
 
@@ -38,11 +37,12 @@ ArchCheck::ArchCheck(WorkloadInstance twin_instance)
 {
 }
 
-ArchCheck::ArchCheck(WorkloadInstance twin_instance, const Checkpoint &ck)
+ArchCheck::ArchCheck(WorkloadInstance twin_instance,
+                     const ExecArchState &arch)
     : twin(validated(std::move(twin_instance))),
       refExec(*twin.program, *twin.mem)
 {
-    restoreCheckpoint(ck, refExec, *twin.mem);
+    refExec.importArchState(arch);
 }
 
 SimHooks

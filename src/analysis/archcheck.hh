@@ -55,13 +55,13 @@ class ArchCheck : public CommitHook
     explicit ArchCheck(WorkloadInstance twin);
 
     /**
-     * Lockstep from a mid-region checkpoint: @p twin is restored from
-     * @p ck (memory image + architectural state), so the reference
-     * execution starts exactly where the checkpointed machine stopped.
-     * Lets fuzzers validate a run resumed from a checkpoint against
-     * the same contract as a from-scratch run.
+     * Lockstep from mid-region: @p twin's memory is already a fork of
+     * the resumed machine's frozen image, and the reference executor
+     * imports @p arch, so it starts exactly where that machine stopped.
+     * Lets fuzzers validate a resumed run against the same contract as
+     * a from-scratch run.
      */
-    ArchCheck(WorkloadInstance twin, const struct Checkpoint &ck);
+    ArchCheck(WorkloadInstance twin, const ExecArchState &arch);
 
     /** True when the cores' per-commit call sites are compiled in. */
     static constexpr bool

@@ -23,9 +23,9 @@ namespace svr
 /**
  * A copyable snapshot of everything architectural the Executor owns:
  * the register file, flags, PC, halt latch, and dynamic instruction
- * count. Together with a FunctionalMemory page image this is the
- * complete restart state of a functional execution (sim/checkpoint.hh
- * serializes both into a restorable artifact).
+ * count. Together with a frozen FunctionalMemory::Image this is the
+ * complete restart state of a functional execution: a sampled row
+ * (sim/sampled_sim.hh) resumes each config's window from the pair.
  */
 struct ExecArchState
 {
@@ -74,7 +74,7 @@ class Executor
 
     /**
      * Execute up to @p n instructions discarding the dynamic stream
-     * (checkpoint fast-forward). Stops early on halt; returns the
+     * (sampled fast-forward). Stops early on halt; returns the
      * number actually executed. Architecturally identical to calling
      * step() @p n times, but the in-TU loop lets the compiler drop the
      * per-instruction DynInst materialization.
@@ -124,13 +124,13 @@ class Executor
     /** Restart from instruction 0 with zeroed registers. */
     void restart();
 
-    /** Copy out the complete architectural state (checkpointing). */
+    /** Copy out the complete architectural state (a snapshot). */
     ExecArchState exportArchState() const;
 
     /**
-     * Overwrite the architectural state with @p state (checkpoint
-     * restore). The PC must lie within the bound program (panics
-     * otherwise — a checkpoint taken against a different program).
+     * Overwrite the architectural state with @p state (resume from a
+     * snapshot). The PC must lie within the bound program (panics
+     * otherwise — a snapshot taken against a different program).
      */
     void importArchState(const ExecArchState &state);
 

@@ -194,24 +194,6 @@ FunctionalMemory::snapshotPages() const
     return pages;
 }
 
-void
-FunctionalMemory::installPage(Addr page_num, const std::uint8_t *data)
-{
-    std::memcpy(writablePage(page_num), data, pageBytes);
-}
-
-void
-FunctionalMemory::setAllocTop(Addr top)
-{
-    if (top < dataBase) {
-        panic("FunctionalMemory::setAllocTop: cursor %llx below the "
-              "data base %llx",
-              static_cast<unsigned long long>(top),
-              static_cast<unsigned long long>(dataBase));
-    }
-    table.allocCursor = top;
-}
-
 Addr
 FunctionalMemory::alloc(std::uint64_t bytes, std::uint64_t align)
 {

@@ -171,20 +171,10 @@ class FunctionalMemory
         return table.allocCursor - dataBase;
     }
 
-    // ---- Checkpointing (sim/checkpoint.hh) ----------------------------
-    //
-    // A Checkpoint holds its memory as an Image: capture freezes this
-    // memory into one and re-forks it, restore assigns a fork of it.
-    // Only the byte format reads and writes pages one at a time, with
-    // snapshotPages() on a fork and installPage()/setAllocTop() on a
-    // fresh memory that it then freezes.
-
     /** Base of the data segment: the freshly-constructed alloc cursor. */
     static constexpr Addr dataBase = 0x10000000;
     /** log2(pageBytes): page offset width. */
     static constexpr unsigned pageShift = 12;
-    /** Page numbers are below this (addr >> pageShift of a 64-bit Addr). */
-    static constexpr Addr pageNumLimit = Addr{1} << (64 - pageShift);
 
     /** One materialized page: number (addr >> 12) + its 4 KiB image. */
     struct PageRef
@@ -195,26 +185,13 @@ class FunctionalMemory
 
     /**
      * Every materialized page, sorted by page number (deterministic
-     * order for serialization). Pointers remain valid until the next
-     * write to, or assignment of, this memory.
+     * order for the input digests). Pointers remain valid until the
+     * next write to, or assignment of, this memory.
      */
     std::vector<PageRef> snapshotPages() const;
 
-    /**
-     * Materialize page @p page_num (< pageNumLimit) and overwrite it
-     * with @p data (pageBytes bytes). Deserialization path: a fresh
-     * memory installs each saved page, then is frozen into an Image.
-     */
-    void installPage(Addr page_num, const std::uint8_t *data);
-
-    /** Raw bump-allocator cursor (absolute address), for checkpoints. */
+    /** Raw bump-allocator cursor (absolute address). */
     Addr allocTop() const { return table.allocCursor; }
-
-    /**
-     * Restore the bump-allocator cursor. @p top must be >= dataBase
-     * (the freshly-constructed cursor); panics otherwise.
-     */
-    void setAllocTop(Addr top);
 
   private:
     static constexpr bool littleEndianHost =
@@ -389,7 +366,7 @@ class FunctionalMemory
     // particular covers all of a workload's hot 2 MiB regions at once,
     // keeping the root hash map off the per-access path entirely —
     // sized for paper-scale footprints (64 x 2 MiB = 128 MiB), where
-    // the checkpoint fast-forward path lives or dies by it. The write
+    // the sampled fast-forward path lives or dies by it. The write
     // cache holds only owned pages, so a write hit never copies.
     static constexpr std::size_t tcEntries = 64;
     mutable std::array<Addr, tcEntries> tcTag;

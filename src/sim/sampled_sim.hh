@@ -37,7 +37,10 @@
  * fast-forwards on to the next window start. The row thus holds one
  * memory, plus one fork's written pages at a time, whatever the region
  * length, and no image ever chains to another. A single config is the
- * one-config case of the same loop.
+ * one-config case of the same loop. This freeze, fork and thaw, with
+ * Executor::exportArchState()/importArchState() and the carried
+ * SvrEngineSnapshot, is the simulator's one way to snapshot a machine
+ * and resume it; no snapshot is ever written to a file.
  */
 
 #ifndef SVR_SIM_SAMPLED_SIM_HH

@@ -52,9 +52,8 @@ struct StrideEntry
     /**
      * Oracle-seeded entry awaiting its first observation: prevAddress
      * is meaningless until the first real access adopts it, so that
-     * observation must not decay the seeded confidence. Transient
-     * (deliberately not checkpointed; a restored entry re-trains in
-     * two observations like ordinary hardware state).
+     * observation must not decay the seeded confidence.
+     * exportState()/importState() carry it with the rest of the entry.
      */
     bool primed = false;
 };
@@ -144,7 +143,7 @@ class StrideDetector
     /** Confidence threshold for "is striding". */
     unsigned confidenceThreshold() const { return p.confidenceThreshold; }
 
-    // ---- Warm-state transfer (sampled simulation / checkpoints) ----
+    // ---- Warm-state transfer (sampled simulation) ----
 
     /**
      * A copy of the full table, slot by slot (invalid entries

@@ -155,10 +155,11 @@ struct SvrEngineStats
 
 /**
  * Persistent (cross-run) SVR predictor state: the stride-detector
- * SRAM plus the accuracy-governor ban flag. This is what survives a
- * sampled-simulation window boundary or a checkpoint — transient round
- * state (PRM, masks, SRF) never does; a restored engine starts outside
- * a round, exactly like hardware resuming from a context switch.
+ * SRAM plus the accuracy-governor ban flag. This is what a sampled row
+ * carries from one window of a config to its next (sim/sampled_sim.hh)
+ * — transient round state (PRM, masks, SRF) never survives; an engine
+ * that imports it starts outside a round, exactly like hardware
+ * resuming from a context switch.
  */
 struct SvrEngineSnapshot
 {

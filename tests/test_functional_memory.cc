@@ -317,30 +317,6 @@ TEST(CowMemory, NeverMaterializedZeroPagesStayPrivate)
     EXPECT_EQ(b.pagesTouched(), ref.pagesTouched());
 }
 
-TEST(CowMemory, InstallPageRebuildsAFork)
-{
-    // The checkpoint byte format's load path: install every page of a
-    // fork into a fresh memory, set the cursor, freeze, fork again.
-    const auto image = builtImage();
-    FunctionalMemory donor(image);
-    donor.write64(FunctionalMemory::dataBase, 42);
-    donor.write64(0x7000, 43); // a page the image lacks
-    const std::string want = pageBytesOf(donor);
-
-    FunctionalMemory a;
-    for (const auto &page : donor.snapshotPages())
-        a.installPage(page.pageNum, page.data);
-    a.setAllocTop(donor.allocTop());
-    EXPECT_EQ(pageBytesOf(a), want);
-    EXPECT_EQ(a.read64(FunctionalMemory::dataBase), 42u);
-    EXPECT_EQ(a.pagesTouched(), donor.pagesTouched());
-    const FunctionalMemory b(std::make_shared<const Image>(std::move(a)));
-    EXPECT_EQ(pageBytesOf(b), want);
-    EXPECT_EQ(b.allocTop(), donor.allocTop());
-    EXPECT_EQ(FunctionalMemory(image).read64(FunctionalMemory::dataBase),
-              0x1000u);
-}
-
 TEST(CowMemory, AFrozenForkKeepsItsImagePagesAlive)
 {
     auto first = builtImage();
@@ -566,7 +542,7 @@ TEST(FunctionalMemory, AllocMayEndAtTheTopButNotPassIt)
 {
     FunctionalMemory m;
     const Addr top = ~Addr{0};
-    m.setAllocTop(top - 0xff); // 2^64 - 0x100
+    m.alloc(top - 0xff - FunctionalMemory::dataBase, 1); // to 2^64 - 0x100
     EXPECT_TRUE(allocFails(m, 0x100, 1)); // would end exactly at 2^64
     EXPECT_FALSE(allocFails(m, 0xff, 1)); // ends at 2^64 - 1
     EXPECT_EQ(m.allocTop(), top);

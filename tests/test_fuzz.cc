@@ -18,7 +18,6 @@
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
 #include "mem/memory_system.hh"
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
 #include "workloads/workload.hh"
@@ -203,15 +202,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrograms,
                          ::testing::Range<std::uint64_t>(100, 124));
 
 /**
- * Randomized checkpoint placement: cut each fuzz program at an
- * arbitrary commit — which lands in arbitrary machine states: mid-SVR-
- * round (the first segment runs under a live runahead engine), right
- * after the generator's +1-offset bounded stores (page-straddling
- * write boundaries) — serialize + restore, and finish the run on SVR
+ * Randomized snapshot placement: cut each fuzz program at an arbitrary
+ * commit — which lands in arbitrary machine states: mid-SVR-round (the
+ * first segment runs under a live runahead engine), right after the
+ * generator's +1-offset bounded stores (page-straddling write
+ * boundaries) — take the snapshot a sampled row takes (architectural
+ * state, memory frozen into an image, SVR predictor state), resume a
+ * fresh build on a fork of the image, and finish the run on SVR
  * timing. The resumed half is cross-checked commit-by-commit against a
- * lockstep twin restored from the same serialized artifact (ArchCheck)
- * and the final architectural state must match the uninterrupted
- * functional reference exactly.
+ * lockstep twin resumed from the same snapshot (ArchCheck) and the
+ * final architectural state must match the uninterrupted functional
+ * reference exactly.
  */
 class CheckpointFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -235,7 +236,7 @@ TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
     ASSERT_GT(total, 2u);
     const std::uint64_t n1 = 1 + rng.nextBounded(total - 2);
 
-    // Segment 1 under SVR timing, so the checkpoint is taken from a
+    // Segment 1 under SVR timing, so the snapshot is taken from a
     // machine with a warm (possibly mid-round) runahead engine.
     const WorkloadInstance w1 = branchyProgram(seed);
     Executor exec1(*w1.program, *w1.mem);
@@ -248,18 +249,22 @@ TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
     core1.run(exec1, n1);
     ASSERT_FALSE(exec1.halted()) << "seed " << seed << " n1 " << n1;
 
-    const Checkpoint ck = deserializeCheckpoint(serializeCheckpoint(
-        captureCheckpoint(exec1, *w1.mem, w1.name, &engine1)));
-    ASSERT_EQ(ck.arch.seq, exec1.instructionsExecuted());
-    ASSERT_TRUE(ck.hasSvr);
+    const ExecArchState start = exec1.exportArchState();
+    const SvrEngineSnapshot svr = engine1.exportState();
+    const auto image =
+        std::make_shared<const FunctionalMemory::Image>(std::move(*w1.mem));
 
-    // Segment 2: restore into a fresh instance and finish the run.
+    // Segment 2: resume a fresh build on a fork of the image and finish
+    // the run; the lockstep twin resumes from the same snapshot.
     const WorkloadInstance w2 = branchyProgram(seed);
+    *w2.mem = FunctionalMemory(image);
     Executor exec2(*w2.program, *w2.mem);
-    restoreCheckpoint(ck, exec2, *w2.mem);
+    exec2.importArchState(start);
 
     const SimConfig config = presets::svrCore(16);
-    ArchCheck ac(branchyProgram(seed), ck);
+    WorkloadInstance twin = branchyProgram(seed);
+    *twin.mem = FunctionalMemory(image);
+    ArchCheck ac(std::move(twin), start);
     SimHooks hooks;
     if (ArchCheck::enabled()) {
         hooks = ac.hooks();
@@ -270,7 +275,7 @@ TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
     MemorySystem mem2(MemParams{});
     TimingWindow window;
     window.maxInstructions = 1u << 23;
-    window.svrIn = &ck.svr;
+    window.svrIn = &svr;
     runTimingWindow(config, mem2, exec2, *w2.mem, hooks,
                     resolveWatchdog(config), window);
 

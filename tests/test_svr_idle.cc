@@ -4,7 +4,7 @@
  * accuracy governor, re-evaluated only when its counters move, must
  * ban at exactly the instruction a per-instruction evaluation would;
  * and the O(1) Seen-bit clear must read back, through exportState()
- * and a checkpoint round trip, as a naive "clear all but the HSLR"
+ * and an importState() round trip, as a naive "clear all but the HSLR"
  * would leave it, across nested-loop aborts and independent-loop
  * retargets.
  */
@@ -15,7 +15,6 @@
 #include <optional>
 #include <set>
 
-#include "sim/checkpoint.hh"
 #include "test_helpers.hh"
 
 namespace svr
@@ -310,19 +309,6 @@ seenPcs(const SvrEngineSnapshot &snap)
     return pcs;
 }
 
-/** @p snap through the checkpoint byte format and back. */
-SvrEngineSnapshot
-roundTrip(const SvrEngineSnapshot &snap)
-{
-    Checkpoint ck;
-    ck.workload = "seen";
-    ck.mem = std::make_shared<const FunctionalMemory::Image>(
-        FunctionalMemory());
-    ck.hasSvr = true;
-    ck.svr = snap;
-    return deserializeCheckpoint(serializeCheckpoint(ck)).svr;
-}
-
 void
 expectSameSnapshot(const SvrEngineSnapshot &a, const SvrEngineSnapshot &b,
                    std::uint64_t instr)
@@ -344,10 +330,10 @@ expectSameSnapshot(const SvrEngineSnapshot &a, const SvrEngineSnapshot &b,
 
 /**
  * Runs @p make's workload on two engines in lockstep. Between rounds,
- * engine B's predictor state goes through exportState(), the
- * checkpoint bytes and importState() after every instruction, so a
- * Seen bit lost or invented on the way would steer B's retarget and
- * abort decisions away from A's. After every instruction the exported
+ * engine B's predictor state goes through exportState() and
+ * importState() after every instruction, so a Seen bit lost or
+ * invented on the way would steer B's retarget and abort decisions
+ * away from A's. After every instruction the exported
  * Seen bits obey the naive rule: after the HSLR load only the HSLR may
  * be Seen, and after a trigger or nested abort at pc X exactly X is.
  */
@@ -396,11 +382,8 @@ checkSeenBits(WorkloadInstance (*make)(), SvrParams sp, std::uint64_t n,
         ASSERT_EQ(a.engine.inRunahead(), b.engine.inRunahead())
             << "instr " << i;
         expectSameSnapshot(b.engine.exportState(), snap, i);
-        if (!b.engine.inRunahead()) {
-            const SvrEngineSnapshot back = roundTrip(snap);
-            expectSameSnapshot(back, snap, i);
-            b.engine.importState(roundTrip(b.engine.exportState()));
-        }
+        if (!b.engine.inRunahead())
+            b.engine.importState(b.engine.exportState());
     }
     EXPECT_EQ(a.engine.stats().rounds, b.engine.stats().rounds);
     EXPECT_EQ(a.engine.stats().prefetches, b.engine.stats().prefetches);

@@ -193,8 +193,8 @@ nsPerCall(unsigned reps, std::uint64_t iters, Fn &&fn)
 
 /**
  * ns per functionally executed instruction through the threaded-code
- * dispatch loop (Executor::run batches — the path the sampled-sim
- * checkpoint fast-forward and functional warmup actually ride; the
+ * dispatch loop (Executor::run batches — the path a sampled row's
+ * master machine fast-forwards and re-executes its windows on; the
  * per-DynInst step() entry point adds a fixed call/materialize cost on
  * top and is exercised by every timing-core measurement above).
  */

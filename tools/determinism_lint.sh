@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism linter for the byte-identical-output paths.
 #
-# The sweep fabric's contract is that reports, journals, checkpoints,
+# The sweep fabric's contract is that reports, journals, wire frames
 # and stats artifacts are byte-identical across job counts, hosts, and
 # resumes. That contract dies quietly the day someone iterates an
 # unordered container into a report, keys an ordering on a pointer, or
@@ -23,9 +23,10 @@ set -u
 root="${1:-.}"
 
 # The artifact-producing sources: everything whose output is under the
-# byte-identity contract (reports, journals, checkpoints, wire frames,
-# stats, the lint/chain reports themselves). functional_memory.cc is
-# here because snapshotPages() feeds the checkpoint bytes; rng.cc,
+# byte-identity contract (reports, journals, wire frames, stats, the
+# lint/chain reports themselves). functional_memory.cc is here because
+# snapshotPages() feeds the InputGolden digests, which pin the bytes of
+# every generated input; rng.cc,
 # graph.cc and workload.cc because every artifact depends on the bytes
 # of the inputs they generate and lay out; sampled_sim.cc because a
 # sampled row runs its configs window by window from one shared
@@ -37,7 +38,6 @@ files=(
     src/sim/report.cc
     src/sim/result_fields.cc
     src/sim/journal.cc
-    src/sim/checkpoint.cc
     src/sim/experiment.cc
     src/sim/fabric.cc
     src/sim/ledger.cc
