@@ -50,19 +50,6 @@ StrideDetector::observe(Addr pc, Addr addr)
     entry->lastUse = ++useClock;
     obs.entry = entry;
 
-    if (entry->primed) {
-        // First observation of an oracle-seeded entry: there is no
-        // meaningful Previous Address yet; adopt this one rather than
-        // letting a garbage delta decay the seeded confidence.
-        entry->primed = false;
-        entry->prevAddress = addr;
-        obs.matched = true;
-        obs.isStriding = entry->satCounter >= p.confidenceThreshold &&
-                         entry->stride != 0 &&
-                         std::llabs(entry->stride) <= p.maxStride;
-        return obs;
-    }
-
     // Waiting-mode range check *before* updating Previous Address: a
     // load cannot retrigger while its address lies between the range
     // start and Last Prefetch covered by the previous round.
@@ -94,30 +81,6 @@ StrideDetector::observe(Addr pc, Addr addr)
                      entry->stride != 0 &&
                      std::llabs(entry->stride) <= p.maxStride;
     return obs;
-}
-
-void
-StrideDetector::seed(Addr pc, std::int64_t stride)
-{
-    if (stride == 0 || std::llabs(stride) > p.maxStride)
-        return; // the hardware stride field cannot represent it
-    StrideEntry *entry = find(pc);
-    if (!entry) {
-        StrideEntry *victim = &table[0];
-        for (auto &e : table) {
-            if (!e.valid) {
-                victim = &e;
-                break;
-            }
-            if (e.lastUse < victim->lastUse)
-                victim = &e;
-        }
-        entry = &install(victim, pc);
-    }
-    entry->stride = stride;
-    entry->satCounter = p.confidenceThreshold;
-    entry->primed = true;
-    entry->lastUse = ++useClock;
 }
 
 void

@@ -49,13 +49,6 @@ struct StrideEntry
      */
     unsigned uselessRounds = 0;
     std::uint64_t lastUse = 0;     //!< LRU state
-    /**
-     * Oracle-seeded entry awaiting its first observation: prevAddress
-     * is meaningless until the first real access adopts it, so that
-     * observation must not decay the seeded confidence.
-     * exportState()/importState() carry it with the rest of the entry.
-     */
-    bool primed = false;
 };
 
 /** Outcome of observing one load at the detector. */
@@ -73,17 +66,6 @@ struct StrideDetectorParams
     unsigned entries = 32;
     unsigned confidenceThreshold = 2;
     std::int64_t maxStride = 127; //!< 8-bit signed stride field
-};
-
-/**
- * One static-oracle seed: pre-train the detector to full confidence
- * for the load at @p pc with compile-time @p stride (produced by
- * analysis/chains.hh, consumed by SvrParams::oracleSeeds).
- */
-struct OracleSeed
-{
-    Addr pc = 0;
-    std::int64_t stride = 0;
 };
 
 /**
@@ -121,15 +103,6 @@ class StrideDetector
 
     /** Set the Seen bit of live entry @p e. */
     void markSeen(const StrideEntry &e) { seenAt[slotOf(e)] = seenEpoch; }
-
-    /**
-     * Oracle-install an entry for @p pc at full confidence with
-     * @p stride (static-analysis seeding). Strides the 8-bit hardware
-     * field cannot represent are ignored. The entry is marked primed:
-     * its first observation adopts the real address instead of
-     * training on a garbage delta.
-     */
-    void seed(Addr pc, std::int64_t stride);
 
     /** Clear all Seen bits except the one for @p except_pc (O(1)). */
     void clearSeenExcept(Addr except_pc);

@@ -80,14 +80,6 @@ struct SvrParams
     std::size_t eventLogCapacity = 4096;
 
     /**
-     * Static-oracle mode: pre-train the stride detector from these
-     * compile-time chains (analysis/chains.hh) before the first
-     * instruction issues, giving the variant lab an upper-bound
-     * comparison point against purely dynamic discovery.
-     */
-    std::vector<OracleSeed> oracleSeeds;
-
-    /**
      * Record the per-PC chain log (SvrEngine::chainLog()) for
      * static-vs-dynamic cross-validation. Only honored in
      * SVR_ARCHCHECK builds; Release compiles the recording out

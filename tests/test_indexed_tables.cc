@@ -330,13 +330,6 @@ class RefStrideDetector
         }
         entry->lastUse = ++clock;
         obs.entry = entry;
-        if (entry->primed) {
-            entry->primed = false;
-            entry->prevAddress = addr;
-            obs.matched = true;
-            obs.isStriding = striding(*entry);
-            return obs;
-        }
         if (entry->hasLastPrefetch) {
             const Addr lo = entry->stride >= 0 ? entry->prevAddress
                                                : entry->lastPrefetch;
@@ -361,33 +354,6 @@ class RefStrideDetector
         entry->prevAddress = addr;
         obs.isStriding = striding(*entry);
         return obs;
-    }
-
-    void
-    seed(Addr pc, std::int64_t stride)
-    {
-        if (stride == 0 || std::llabs(stride) > p.maxStride)
-            return;
-        StrideEntry *entry = find(pc);
-        if (!entry) {
-            StrideEntry *victim = &table[0];
-            for (auto &e : table) {
-                if (!e.valid) {
-                    victim = &e;
-                    break;
-                }
-                if (e.lastUse < victim->lastUse)
-                    victim = &e;
-            }
-            *victim = StrideEntry{};
-            victim->pc = pc;
-            victim->valid = true;
-            entry = victim;
-        }
-        entry->stride = stride;
-        entry->satCounter = p.confidenceThreshold;
-        entry->primed = true;
-        entry->lastUse = ++clock;
     }
 
     /** The naive clear: every valid entry but @p except_pc's. */
@@ -431,7 +397,6 @@ expectSameEntries(const std::vector<StrideEntry> &got,
         ASSERT_EQ(x.seen, y.seen) << "op " << op << " slot " << i;
         ASSERT_EQ(x.uselessRounds, y.uselessRounds) << "op " << op;
         ASSERT_EQ(x.lastUse, y.lastUse) << "op " << op;
-        ASSERT_EQ(x.primed, y.primed) << "op " << op;
     }
 }
 
@@ -458,7 +423,7 @@ TEST(StrideDetectorDifferential, MatchesScanReference)
             const std::size_t k = op == 0 ? 0 : rng.nextBounded(pcs.size());
             const Addr pc = pcs[k];
             const unsigned what =
-                op == 0 ? 1 : static_cast<unsigned>(rng.nextBounded(16));
+                op == 0 ? 1 : static_cast<unsigned>(rng.nextBounded(15));
             if (what < 11) {
                 // Mostly striding addresses, sometimes a jump.
                 next[k] += what < 9 ? 8 : rng.nextBounded(1 << 16);
@@ -483,14 +448,9 @@ TEST(StrideDetectorDifferential, MatchesScanReference)
                     sd.markSeen(*a);
                     b->seen = true;
                 }
-            } else if (what < 15) {
+            } else {
                 sd.clearSeenExcept(pc);
                 ref.clearSeenExcept(pc);
-            } else {
-                const auto stride =
-                    static_cast<std::int64_t>(rng.nextBounded(300)) - 150;
-                sd.seed(pc, stride);
-                ref.seed(pc, stride);
             }
             expectSameEntries(sd.entries(), ref.table, op);
             ASSERT_EQ(sd.clock(), ref.clock);

@@ -191,10 +191,12 @@ INSTANTIATE_TEST_SUITE_P(AllCores, DegenerateCores,
  */
 TEST(SampledSim, CpiWithinStatedBoundOfFullRun)
 {
-    // Paper-scale camel (36 MiB footprint) with the bench's window
-    // parameters: per-window cold-start bias is a property of
-    // (workload, warmup, window) — these values empirically deliver
-    // ~1% CPI error on every core (see BENCH_sampling.json).
+    // Paper-scale camel (36 MiB footprint), 20k windows, 10k warmup.
+    // Per-window cold-start bias is a property of (workload, warmup,
+    // window), and camel is the kernel that shows least of it: this
+    // is the camel gate, not a bound for every kernel. Graph kernels
+    // read far above their full-detail CPI from cold windows;
+    // perfbench's sampled_cpi_err_pct tracks that error.
     const WorkloadInstance camel = makeCamel();
     for (const SimConfig &base :
          {presets::inorder(), presets::svrCore(16)}) {

@@ -24,7 +24,6 @@
 #include <cstring>
 #include <string>
 
-#include "analysis/chains.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -57,8 +56,6 @@ usage()
         "  --svu-width W          SVU scalars per cycle (default 1)\n"
         "  --srf K                speculative registers (default 8)\n"
         "  --dvr-recycling        DVR-style stop-when-full SRF policy\n"
-        "  --oracle               seed the stride detector from the\n"
-        "                         static chain analysis (svr core only)\n"
         "  --sample-every E       sampled simulation: one timing sample\n"
         "                         per E instrs (0 = full detail)\n"
         "  --sample-window W      measured instrs per sample\n"
@@ -110,7 +107,6 @@ try {
     std::string core = "svr";
     bool json = false;
     bool compare = false;
-    bool oracle = false;
     unsigned jobs = 0;
     unsigned n = 16;
     SimConfig config = presets::svrCore(16);
@@ -161,8 +157,6 @@ try {
             config.svr.numSrfRegs = parseNumber<unsigned>(next(), "--srf");
         } else if (arg == "--dvr-recycling") {
             config.svr.recycle = SrfRecycle::StopWhenFull;
-        } else if (arg == "--oracle") {
-            oracle = true;
         } else if (arg == "--sample-every") {
             config.sampling.sampleEvery =
                 parseNumber<std::uint64_t>(next(), "--sample-every");
@@ -238,24 +232,7 @@ try {
         return 0;
     }
 
-    const WorkloadInstance inst = findWorkload(workload).make();
-    if (oracle) {
-        if (config.core != CoreType::Svr)
-            fatal("--oracle requires --core svr");
-        // Seed the detector with every compile-time chain root; seeds
-        // whose stride exceeds the detector's field are dropped by
-        // StrideDetector::seed() itself.
-        const ChainReport chains = analyzeChains(*inst.program);
-        for (const ChainInfo &c : chains.chains) {
-            if (c.strideKnown && c.stride != 0) {
-                config.svr.oracleSeeds.push_back(
-                    {Program::pcOf(c.rootIndex), c.stride});
-            }
-        }
-        config.label += "-oracle";
-    }
-
-    const SimResult r = simulate(config, inst);
+    const SimResult r = simulate(config, findWorkload(workload));
 
     if (json) {
         std::fputs(toJson(r).c_str(), stdout);
@@ -322,9 +299,6 @@ try {
         std::printf("  prefetches    %llu\n",
                     static_cast<unsigned long long>(r.core.svrPrefetches));
         std::printf("  LLC accuracy  %.2f%%\n", 100.0 * r.svrAccuracyLlc);
-        if (oracle)
-            std::printf("  oracle seeds  %zu\n",
-                        config.svr.oracleSeeds.size());
     }
     if (config.core == CoreType::InOrderImp)
         std::printf("\nIMP LLC accuracy %.2f%%\n",

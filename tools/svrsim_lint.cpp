@@ -17,7 +17,6 @@
  *   svrsim_lint --suite graph            graph|hpcdb|spec|full|quick
  *   svrsim_lint --workload PR_KR [...]   lint specific workloads
  *   svrsim_lint --chains                 run the static chain analysis
- *   svrsim_lint --oracle                 print the oracle seed table
  *   svrsim_lint --json                   machine-readable output
  *   svrsim_lint --dump                   also print full disassembly
  *   svrsim_lint --werror                 exit non-zero on warnings too
@@ -58,8 +57,6 @@ usage()
         "  --suite NAME       graph|hpcdb|spec|full|quick\n"
         "  --workload NAME    lint one workload (repeatable)\n"
         "  --chains           run the static chain analysis too\n"
-        "  --oracle           print the oracle seed table (implies "
-        "--chains)\n"
         "  --json             machine-readable output (svrsim-lint-v1)\n"
         "  --dump             print each linted program's disassembly\n"
         "  --werror           treat warnings as errors\n"
@@ -266,7 +263,6 @@ try {
     bool werror = false;
     bool quiet = false;
     bool chains = false;
-    bool oracle = false;
     bool json = false;
 
     for (int i = 1; i < argc; i++) {
@@ -287,8 +283,6 @@ try {
             names.push_back(next());
         } else if (arg == "--chains") {
             chains = true;
-        } else if (arg == "--oracle") {
-            oracle = chains = true;
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--dump") {
@@ -350,22 +344,8 @@ try {
                 std::printf("%s: clean (%zu instructions)\n",
                             r.name.c_str(), r.instructions);
             }
-            if (r.haveChains) {
-                if (oracle) {
-                    // Seed table: one "program index stride" per
-                    // known-stride chain root (what --oracle runs
-                    // feed to SvrParams::oracleSeeds).
-                    for (const ChainInfo &c : r.chains.chains) {
-                        if (c.strideKnown) {
-                            std::printf("seed %s %zu %lld\n",
-                                        r.name.c_str(), c.rootIndex,
-                                        static_cast<long long>(c.stride));
-                        }
-                    }
-                } else if (!quiet || !r.chains.diags.empty()) {
-                    std::fputs(r.chains.format().c_str(), stdout);
-                }
-            }
+            if (r.haveChains && (!quiet || !r.chains.diags.empty()))
+                std::fputs(r.chains.format().c_str(), stdout);
         }
     }
 
