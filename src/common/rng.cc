@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -24,6 +25,45 @@ rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
 }
+
+/**
+ * P without its leading x^256 term: the minimal polynomial of the
+ * xoshiro256 state transition, found by Berlekamp-Massey on its output
+ * bits. RngJump.PublishedJumpConstant checks it: x^(2^128) mod P is
+ * Blackman & Vigna's JUMP.
+ */
+constexpr Rng::JumpPoly charPolyLow = {
+    0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+    0x0003c03c3f3ecb19ULL};
+
+/** @p p times x, mod P. */
+void
+timesX(Rng::JumpPoly &p)
+{
+    const bool carry = p[3] >> 63;
+    for (unsigned i = 3; i > 0; i--)
+        p[i] = (p[i] << 1) | (p[i - 1] >> 63);
+    p[0] <<= 1;
+    if (carry) {
+        for (unsigned i = 0; i < 4; i++)
+            p[i] ^= charPolyLow[i];
+    }
+}
+
+/** @p a times @p b, mod P (Horner over @p b's coefficients). */
+Rng::JumpPoly
+mulMod(const Rng::JumpPoly &a, const Rng::JumpPoly &b)
+{
+    Rng::JumpPoly r{};
+    for (int bit = 255; bit >= 0; bit--) {
+        timesX(r);
+        if (b[bit / 64] >> (bit % 64) & 1) {
+            for (unsigned i = 0; i < 4; i++)
+                r[i] ^= a[i];
+        }
+    }
+    return r;
+}
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -45,6 +85,44 @@ Rng::next()
     s[2] ^= t;
     s[3] = rotl(s[3], 45);
     return result;
+}
+
+Rng::JumpPoly
+Rng::jumpPoly(std::uint64_t n)
+{
+    // Left-to-right square-and-multiply from x^0 = 1.
+    JumpPoly r = {1, 0, 0, 0};
+    for (int bit = std::bit_width(n) - 1; bit >= 0; bit--) {
+        r = mulMod(r, r);
+        if (n >> bit & 1)
+            timesX(r);
+    }
+    return r;
+}
+
+Rng::JumpPoly
+Rng::jumpPolySquared(const JumpPoly &p)
+{
+    return mulMod(p, p);
+}
+
+void
+Rng::jump(const JumpPoly &p)
+{
+    // T^n = (x^n mod P)(T) by Cayley-Hamilton: sum the states T^i s
+    // whose coefficient is set (the reference xoshiro jump loop).
+    std::uint64_t acc[4] = {};
+    for (const std::uint64_t word : p) {
+        for (unsigned b = 0; b < 64; b++) {
+            if (word >> b & 1) {
+                for (unsigned i = 0; i < 4; i++)
+                    acc[i] ^= s[i];
+            }
+            next();
+        }
+    }
+    for (unsigned i = 0; i < 4; i++)
+        s[i] = acc[i];
 }
 
 std::uint64_t

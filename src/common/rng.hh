@@ -9,6 +9,7 @@
 #ifndef SVR_COMMON_RNG_HH
 #define SVR_COMMON_RNG_HH
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -28,6 +29,29 @@ class Rng
 
     /** Next raw 64-bit value. */
     std::uint64_t next();
+
+    /**
+     * A jump of n draws: the coefficients of x^n mod P, where P is the
+     * degree-256 characteristic polynomial of the xoshiro256 state
+     * transition. Bit i of word j is the coefficient of x^(64j+i), the
+     * layout of Blackman & Vigna's published JUMP constants.
+     */
+    using JumpPoly = std::array<std::uint64_t, 4>;
+
+    /** x^@p n mod P: the jump of @p n draws. */
+    static JumpPoly jumpPoly(std::uint64_t n);
+
+    /** p^2 mod P: a jump of n draws becomes one of 2n draws. */
+    static JumpPoly jumpPolySquared(const JumpPoly &p);
+
+    /** Advance by the jump @p p: 256 steps, whatever n it stands for. */
+    void jump(const JumpPoly &p);
+
+    /** Advance the stream by @p n draws, as n next() calls would. */
+    void jump(std::uint64_t n) { jump(jumpPoly(n)); }
+
+    /** Same state, so the same stream from here on. */
+    bool operator==(const Rng &) const = default;
 
     /**
      * Integer in [0, bound) as next() % bound; bound > 0. The modulo

@@ -68,7 +68,7 @@ FunctionalMemory::badSize(const char *what, unsigned bytes)
 }
 
 std::uint8_t *
-FunctionalMemory::writablePage(Addr page_num)
+FunctionalMemory::writablePage(Addr page_num, bool overwrite)
 {
     const Addr dir_num = page_num >> dirBits;
     Dir *dir = findDir(dir_num);
@@ -83,13 +83,15 @@ FunctionalMemory::writablePage(Addr page_num)
     const std::size_t i = page_num & (dirFanout - 1);
     std::unique_ptr<Page> &own = dir->own[i];
     if (!own) {
-        if (const Page *shared = dir->page[i]) {
+        const Page *shared = dir->page[i];
+        if (overwrite)
+            own = std::make_unique_for_overwrite<Page>();
+        else if (shared)
             own = std::make_unique<Page>(*shared); // copy on write
-        } else {
-            own = std::make_unique<Page>();
-            own->fill(0);
+        else
+            own = std::make_unique<Page>(); // zeroed
+        if (!shared)
             table.numPages++;
-        }
         dir->page[i] = own.get();
     }
     // Both caches now name the owned page; this also repoints a read
@@ -116,7 +118,9 @@ FunctionalMemory::writeRange(Addr addr, std::uint64_t bytes,
         const Addr off = a & (pageBytes - 1);
         const std::uint64_t n =
             std::min<std::uint64_t>(pageBytes - off, bytes - done);
-        std::uint8_t *dst = writablePage(a >> pageShift) + off;
+        // A whole page is rewritten below, so it needs no zeroing first.
+        std::uint8_t *dst = writablePage(a >> pageShift, n == pageBytes) +
+                            off;
         if (src) {
             std::memcpy(dst, src + done, n);
         } else {

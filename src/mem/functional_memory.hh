@@ -238,8 +238,10 @@ class FunctionalMemory
     /**
      * Owned page @p page_num, materializing it (zeroed) or copying it
      * out of the image first if needed; fills both translation caches.
+     * With @p overwrite the caller rewrites every byte, so a new owned
+     * page is left uninitialized.
      */
-    std::uint8_t *writablePage(Addr page_num);
+    std::uint8_t *writablePage(Addr page_num, bool overwrite = false);
 
     /** Directory @p dir_num through the dir cache, or nullptr. */
     Dir *

@@ -173,29 +173,30 @@ makeHashJoin(unsigned bucket_size, const HpcDbSizes &sizes, unsigned iters)
 
     // Build table: each bucket holds `bucket_size` interleaved
     // (key, value) pairs. Keys are drawn at random and placed in the
-    // bucket their hash selects; unfilled slots keep key 0.
+    // bucket their hash selects; unfilled slots keep key 0. The table
+    // is built on the host, laid out in one copy and freed at once.
     const std::uint64_t entry_bytes = 16;
-    const std::uint64_t table_bytes =
-        static_cast<std::uint64_t>(nbuckets) * bucket_size * entry_bytes;
-    const Addr table_base = mem->alloc(table_bytes, 64);
-    std::vector<std::uint8_t> fill(nbuckets, 0);
+    const std::uint64_t slots =
+        static_cast<std::uint64_t>(nbuckets) * bucket_size;
     std::vector<std::uint64_t> placed_keys;
-    placed_keys.reserve(static_cast<std::size_t>(nbuckets) * bucket_size /
-                        2);
-    const std::uint64_t attempts =
-        static_cast<std::uint64_t>(nbuckets) * bucket_size * 2;
-    for (std::uint64_t i = 0; i < attempts; i++) {
-        const std::uint64_t key = rng.next() | 1;
-        const std::uint64_t h = (key * hashConst) >> hash_shift &
-                                bucket_mask;
-        if (fill[h] < bucket_size) {
-            const Addr slot = table_base +
-                              (h * bucket_size + fill[h]) * entry_bytes;
-            mem->write64(slot, key);
-            mem->write64(slot + 8, key ^ 0xfeedULL);
-            fill[h]++;
-            placed_keys.push_back(key);
+    placed_keys.reserve(static_cast<std::size_t>(slots / 2));
+    Addr table_base = 0;
+    {
+        std::vector<std::uint64_t> table(slots * 2, 0);
+        std::vector<std::uint8_t> fill(nbuckets, 0);
+        for (std::uint64_t i = 0; i < slots * 2; i++) {
+            const std::uint64_t key = rng.next() | 1;
+            const std::uint64_t h = (key * hashConst) >> hash_shift &
+                                    bucket_mask;
+            if (fill[h] < bucket_size) {
+                const std::uint64_t slot = h * bucket_size + fill[h];
+                table[2 * slot] = key;
+                table[2 * slot + 1] = key ^ 0xfeedULL;
+                fill[h]++;
+                placed_keys.push_back(key);
+            }
         }
+        table_base = layoutArray64(*mem, table);
     }
 
     // Probe stream: ~70% hits drawn from placed keys, 30% misses.

@@ -1,5 +1,6 @@
 #include "workloads/suites.hh"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -14,35 +15,39 @@ namespace svr
 std::shared_ptr<const HostGraph>
 getGraphInput(const std::string &name)
 {
-    static std::map<std::string, std::shared_ptr<const HostGraph>> cache;
-    static std::mutex mtx;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(name);
-    if (it != cache.end())
-        return it->second;
-
-    std::shared_ptr<const HostGraph> g;
-    if (name == "KR") {
-        g = std::make_shared<HostGraph>(makeKronecker(17, 16, 0x4b01));
-    } else if (name == "KR18") {
-        g = std::make_shared<HostGraph>(makeKronecker(18, 16, 0x4b18));
-    } else if (name == "UR") {
-        g = std::make_shared<HostGraph>(
-            makeUniformRandom(1u << 17, 16, 0x0601));
-    } else if (name == "LJN") {
-        g = std::make_shared<HostGraph>(
-            makeScaleFree(120000, 14, 2.2, 0x1c01));
-    } else if (name == "TW") {
-        g = std::make_shared<HostGraph>(
-            makeScaleFree(160000, 18, 1.9, 0x7301));
-    } else if (name == "ORK") {
-        g = std::make_shared<HostGraph>(
-            makeScaleFree(120000, 20, 2.4, 0x0a01));
-    } else {
+    static const std::pair<const char *, HostGraph (*)()> inputs[] = {
+        {"KR", [] { return makeKronecker(17, 16, 0x4b01); }},
+        {"KR18", [] { return makeKronecker(18, 16, 0x4b18); }},
+        {"UR", [] { return makeUniformRandom(1u << 17, 16, 0x0601); }},
+        {"LJN", [] { return makeScaleFree(120000, 14, 2.2, 0x1c01); }},
+        {"TW", [] { return makeScaleFree(160000, 18, 1.9, 0x7301); }},
+        {"ORK", [] { return makeScaleFree(120000, 20, 2.4, 0x0a01); }},
+    };
+    const auto input = std::find_if(
+        std::begin(inputs), std::end(inputs),
+        [&](const auto &in) { return name == in.first; });
+    if (input == std::end(inputs))
         fatal("getGraphInput: unknown graph input '%s'", name.c_str());
+
+    // The lock guards only the map: each input generates under its own
+    // once-flag, so distinct inputs generate concurrently and a second
+    // caller for one input waits for the first and shares its graph.
+    struct Entry
+    {
+        std::once_flag once;
+        std::shared_ptr<const HostGraph> graph;
+    };
+    static std::map<std::string, Entry> cache;
+    static std::mutex mtx;
+    Entry *entry = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        entry = &cache[name];
     }
-    cache[name] = g;
-    return g;
+    std::call_once(entry->once, [&] {
+        entry->graph = std::make_shared<const HostGraph>(input->second());
+    });
+    return entry->graph;
 }
 
 const std::vector<WorkloadSpec> &

@@ -22,7 +22,11 @@
 namespace svr
 {
 
-/** Cached graph input by paper name: KR, UR, LJN, TW, ORK. */
+/**
+ * Cached graph input by paper name: KR, KR18, UR, LJN, TW, ORK.
+ * Distinct inputs generate concurrently; every caller for one name
+ * gets the same graph.
+ */
 std::shared_ptr<const HostGraph> getGraphInput(const std::string &name);
 
 /** The 25 GAP workload/input pairs (BC_KR ... SSSP_UR). */

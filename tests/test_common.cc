@@ -95,6 +95,39 @@ TEST(Rng, PowerLawBoundsAndSkew)
     EXPECT_LT(large, 200u);
 }
 
+TEST(RngJump, MatchesSequentialDraws)
+{
+    // 2^16 edges of 18 draws: the KR18 generator's chunk stride.
+    const std::uint64_t stride = (std::uint64_t{1} << 16) * 18;
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{255},
+          std::uint64_t{256}, std::uint64_t{257}, stride,
+          std::uint64_t{9'876'543}}) {
+        SCOPED_TRACE(n);
+        Rng stepped(0x5eed), jumped(0x5eed);
+        for (std::uint64_t i = 0; i < n; i++)
+            stepped.next();
+        jumped.jump(n);
+        EXPECT_TRUE(jumped == stepped);
+        EXPECT_EQ(jumped.next(), stepped.next());
+    }
+}
+
+TEST(RngJump, PublishedJumpConstant)
+{
+    // x^(2^128) mod P by 128 squarings of x is the JUMP constant of
+    // Blackman & Vigna's xoshiro256 reference code, which pins P.
+    Rng::JumpPoly p = Rng::jumpPoly(1);
+    for (int i = 0; i < 128; i++)
+        p = Rng::jumpPolySquared(p);
+    const Rng::JumpPoly published = {
+        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+        0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+    EXPECT_EQ(p, published);
+    EXPECT_EQ(Rng::jumpPolySquared(Rng::jumpPoly(12345)),
+              Rng::jumpPoly(24690));
+}
+
 TEST(Stats, HarmonicMean)
 {
     EXPECT_DOUBLE_EQ(harmonicMean({2.0, 2.0}), 2.0);

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <thread>
+#include <utility>
+
 #include "common/rng.hh"
 #include "workloads/graph.hh"
+#include "workloads/suites.hh"
 
 namespace svr
 {
@@ -129,6 +136,153 @@ TEST(Graph, KroneckerThresholdsMatchNextDouble)
     Rng raw(99), ref(99);
     for (int i = 0; i < 100000; i++)
         ASSERT_EQ((raw.next() >> 11) < t, ref.nextDouble() < p) << i;
+}
+
+/** SVRSIM_JOBS set to @p jobs for the guard's lifetime. */
+class JobsEnv
+{
+  public:
+    explicit JobsEnv(const char *jobs)
+    {
+        if (const char *old = std::getenv("SVRSIM_JOBS"))
+            saved = old;
+        ::setenv("SVRSIM_JOBS", jobs, 1);
+    }
+
+    ~JobsEnv()
+    {
+        if (saved.empty())
+            ::unsetenv("SVRSIM_JOBS");
+        else
+            ::setenv("SVRSIM_JOBS", saved.c_str(), 1);
+    }
+
+    JobsEnv(const JobsEnv &) = delete;
+    JobsEnv &operator=(const JobsEnv &) = delete;
+
+  private:
+    std::string saved;
+};
+
+/** The serial definition: every edge in stream order, then a stable
+ *  counting sort by source. */
+HostGraph
+referenceCsr(std::uint32_t nodes,
+             const std::vector<std::pair<std::uint32_t, std::uint32_t>> &e)
+{
+    HostGraph g;
+    g.numNodes = nodes;
+    g.offsets.assign(nodes + 1, 0);
+    for (const auto &[u, v] : e)
+        g.offsets[u + 1]++;
+    for (std::uint32_t u = 0; u < nodes; u++)
+        g.offsets[u + 1] += g.offsets[u];
+    g.neighbors.resize(e.size());
+    std::vector<std::uint64_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
+    for (const auto &[u, v] : e)
+        g.neighbors[cursor[u]++] = v;
+    return g;
+}
+
+HostGraph
+referenceKronecker(unsigned scale, unsigned avg_degree, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> e;
+    for (std::uint64_t i = 0; i < (std::uint64_t{1} << scale) * avg_degree;
+         i++) {
+        std::uint32_t u = 0, v = 0;
+        for (unsigned bit = 0; bit < scale; bit++) {
+            const double r = rng.nextDouble();
+            const unsigned q = r < rmatA                   ? 0
+                               : r < rmatA + rmatB         ? 1
+                               : r < rmatA + rmatB + rmatC ? 2
+                                                           : 3;
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
+        }
+        e.emplace_back(u, v);
+    }
+    return referenceCsr(1u << scale, e);
+}
+
+HostGraph
+referenceUniformRandom(std::uint32_t nodes, unsigned avg_degree,
+                       std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> e;
+    for (std::uint64_t i = 0; i < std::uint64_t{nodes} * avg_degree; i++) {
+        const auto u = static_cast<std::uint32_t>(rng.nextBounded(nodes));
+        const auto v = static_cast<std::uint32_t>(rng.nextBounded(nodes));
+        e.emplace_back(u, v);
+    }
+    return referenceCsr(nodes, e);
+}
+
+void
+expectSameGraph(const HostGraph &a, const HostGraph &b)
+{
+    EXPECT_EQ(a.numNodes, b.numNodes);
+    EXPECT_EQ(a.offsets, b.offsets);
+    EXPECT_EQ(a.neighbors, b.neighbors);
+}
+
+TEST(Graph, ChunkParallelGenerationIsTheSerialDefinition)
+{
+    // Generation splits at 2^16-edge chunks: 4.5 chunks, 3.2 chunks, a
+    // fraction of one, and none at all.
+    struct Case
+    {
+        bool kronecker;
+        std::uint32_t size; //!< scale or node count
+        unsigned degree;
+    };
+    for (const Case c : {Case{true, 15, 9}, Case{true, 10, 3},
+                         Case{false, 70001, 3}, Case{false, 999, 5},
+                         Case{false, 7, 0}}) {
+        SCOPED_TRACE(testing::Message() << (c.kronecker ? "KR " : "UR ")
+                                        << c.size << " x " << c.degree);
+        const auto make = [&] {
+            return c.kronecker ? makeKronecker(c.size, c.degree, 0x77)
+                               : makeUniformRandom(c.size, c.degree, 0x77);
+        };
+        const HostGraph ref =
+            c.kronecker ? referenceKronecker(c.size, c.degree, 0x77)
+                        : referenceUniformRandom(c.size, c.degree, 0x77);
+        for (const char *jobs : {"1", "3", "4"}) {
+            SCOPED_TRACE(jobs);
+            const JobsEnv env(jobs);
+            expectSameGraph(make(), ref);
+        }
+    }
+}
+
+TEST(Graph, ConcurrentInputRequestsShareOneInstance)
+{
+    const std::vector<std::string> names = {"KR",  "KR18", "UR",
+                                            "LJN", "TW",   "ORK"};
+    constexpr unsigned threads = 4;
+    std::vector<std::map<std::string, const HostGraph *>> seen(threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; t++) {
+        pool.emplace_back([&, t] {
+            // Each thread starts at a different name.
+            for (std::size_t i = 0; i < names.size(); i++) {
+                const std::string &name = names[(i + t) % names.size()];
+                seen[t][name] = getGraphInput(name).get();
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (const std::string &name : names) {
+        SCOPED_TRACE(name);
+        ASSERT_NE(seen[0][name], nullptr);
+        for (unsigned t = 1; t < threads; t++)
+            EXPECT_EQ(seen[t][name], seen[0][name]);
+        EXPECT_EQ(getGraphInput(name).get(), seen[0][name]);
+    }
 }
 
 TEST(Graph, LayoutMatchesFigure2)
